@@ -354,7 +354,7 @@ class PartitionedSystem:
         return H
 
 
-def _entry_columns(system: SystemMatrix, bus_ids) -> np.ndarray:
+def entry_columns(system: SystemMatrix, bus_ids) -> np.ndarray:
     """Current then voltage H columns for the given buses, bus-major."""
     B = system.bus_count
     idx = [system.feeder.index_of(b) for b in bus_ids]
@@ -374,8 +374,8 @@ def partition(system: SystemMatrix, placement: Placement) -> PartitionedSystem:
         if b not in ids:
             raise FeederError(f"placement bus {b} not in feeder")
     others = tuple(b for b in system.feeder.bus_ids if b not in set(placement.sensor_buses))
-    avail = _entry_columns(system, placement.sensor_buses)
-    unavail = (_entry_columns(system, others) if others
+    avail = entry_columns(system, placement.sensor_buses)
+    unavail = (entry_columns(system, others) if others
                else np.empty(0, dtype=int))
     return PartitionedSystem(system=system, placement=placement,
                              H_a=_freeze(system.H[:, avail].copy()),

@@ -76,7 +76,7 @@ class SessionState:
     duplicates: int = 0
     frames: int = 0
     connected: bool = True
-    done: bool = False
+    done: bool = False  # the last session ended with Bye
 
     def observe(self, k: int) -> bool:
         """Track frame arrival order; False for duplicate k."""
@@ -463,6 +463,10 @@ class CentralResult:
     xs: list[tuple[int, float]]
     sessions: dict[int, SessionState] = field(default_factory=dict)
     rejected: int = 0
+    stale_releases: int = 0   # samples fused with a sensor missing
+    late: int = 0             # frames for an already fused sample, dropped
+    gaps: int = 0             # incomplete samples the tracker skipped
+    skipped: int = 0          # samples with a zero measurement vector
 
 
 def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
@@ -471,9 +475,10 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                   timeout_s: float = 60.0) -> CentralResult:
     """Accept one session per sensor, fuse frames by k, run the central rule.
 
-    Returns once every expected sensor has said Bye (or the timeout hits).
-    Unknown sensors are rejected; duplicate k keeps the first frame. A
-    session that ends by Bye, EOF, a reset or a protocol error stops
+    Returns once every expected sensor has said Bye (or the timeout hits);
+    a sensor whose session ends by EOF, a reset or a protocol error is
+    still expected back. Unknown sensors are rejected; duplicate k keeps
+    the first frame. A session that ends in any of these ways stops
     holding samples back; samples still pending at the timeout are
     released as they are.
     """
@@ -496,6 +501,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
     def handle(conn: socket.socket):
         stream = MessageStream(conn)
         sensor = None
+        bye = False
         try:
             hello = stream.read()
             if hello is None or hello.kind != HELLO or hello.sensor not in expected:
@@ -506,7 +512,9 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                     rejected[0] += 1
                     return
                 sensor = hello.sensor
-                sessions.setdefault(sensor, SessionState(sensor=sensor)).connected = True
+                state = sessions.setdefault(sensor, SessionState(sensor=sensor))
+                state.connected = True
+                state.done = False
             while True:
                 msg = stream.read()
                 if msg is None:
@@ -519,6 +527,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                     with lock:
                         reports.append((str(sensor), msg.report))
                 elif msg.kind == BYE:
+                    bye = True
                     break
         except (ProtocolError, OSError):
             pass  # the session is over either way
@@ -526,7 +535,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
             with lock:
                 if sensor is not None:
                     sessions[sensor].connected = False
-                    sessions[sensor].done = True
+                    sessions[sensor].done = bye
                     step(aligner.end(sensor))
                 if set(sessions) == expected and all(s.done for s in sessions.values()):
                     done.set()
@@ -560,4 +569,5 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                                 p[1].start_k, p[1].end_k if p[1].end_k is not None else -1))
     log = fuse_reports(reports, records)
     return CentralResult(event_log=log, xs=tracker.xs, sessions=sessions,
-                         rejected=rejected[0])
+                         rejected=rejected[0], stale_releases=aligner.stale_releases,
+                         late=aligner.late, gaps=tracker.gaps, skipped=tracker.skipped)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridwatch.cli import main
+from gridwatch.cli import find_feeder, main
 from gridwatch.config import Config, ConfigError, load_config
 
 
@@ -193,3 +193,35 @@ def test_serve_commands_roundtrip(tmp_path):
     assert (out / "eventlog.jsonl").exists()
     # quiet scenario: the networked run is silent too
     assert (out / "eventlog.jsonl").read_text() == ""
+
+
+def test_serve_central_warns_on_early_bye(tmp_path, capsys):
+    """A sensor that says Bye early leaves samples fused without it: the run
+    says so on stderr, and its stdout summary line keeps its form."""
+    import re
+    import socket
+    import threading
+    from conftest import raw_sensor_session
+    from gridwatch.model import load_feeder
+    from gridwatch.transport import replay_csv, serve_local
+
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rc_box = {}
+    t = threading.Thread(target=lambda: rc_box.update(central=main(
+        ["serve-central", "--feeder", "ieee34", "--placement", "7,19",
+         "--port", str(port), "--out", str(tmp_path / "out"), "--timeout", "60"])))
+    t.start()
+    frames19 = list(replay_csv(streams / "bus19.csv"))
+    raw_sensor_session(port, 19, frames19[:10], bye=True)
+    serve_local(list(replay_csv(streams / "bus7.csv")), 7, ("127.0.0.1", port),
+                load_feeder(find_feeder("ieee34")))
+    t.join(timeout=30.0)
+    assert not t.is_alive() and rc_box["central"] == 0
+    captured = capsys.readouterr()
+    assert re.search(r"^sessions=2 gaps=0 rejected=0; wrote ", captured.out, re.M)
+    stale = re.search(r"^warning: .*stale_releases=(\d+)", captured.err, re.M)
+    assert stale and int(stale.group(1)) == len(frames19) - 10

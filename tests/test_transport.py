@@ -16,6 +16,8 @@ from gridwatch.transport import (BYE, FRAME, HEARTBEAT, HELLO, REPORT,
                                  decode, encode, replay_csv, serve_central,
                                  serve_local)
 
+from conftest import raw_sensor_session
+
 
 def sample_frame(k=3, bus=7):
     rng = np.random.default_rng(k)
@@ -233,6 +235,46 @@ def test_network_transparency_late_sender(ieee34):
     res = _run_networked(ieee34, streams, placement, cfg, [], delays={31: 0.5})
     assert res.event_log.to_jsonl() == offline.event_log.to_jsonl()
     assert res.xs == offline.xs
+
+
+def test_central_waits_for_dropped_sensor(ieee34):
+    """A link that drops without Bye does not end the run: the central waits
+    for the sensor to come back, and its reports still reach the log."""
+    cfg = Config()
+    placement = Placement((7, 19))
+    streams = _scenario_streams(ieee34, sensors=(7, 19))
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    ready = threading.Event()
+    box = {}
+
+    def central():
+        box["res"] = serve_central(("127.0.0.1", port), ieee34, placement, cfg,
+                                   ready=ready, timeout_s=30.0)
+
+    t = threading.Thread(target=central)
+    t.start()
+    ready.wait(timeout=10.0)
+    raw_sensor_session(port, 7, streams[7][:10], bye=False)
+    time.sleep(0.2)
+    serve_local(streams[19], 19, ("127.0.0.1", port), ieee34, cfg)
+    t.join(timeout=0.5)
+    assert t.is_alive(), "central returned while sensor 7 was still expected"
+    # the reconnected sensor resends from k=0: k < 10 are duplicates, and the
+    # rest arrive after those samples were fused without it
+    serve_local(streams[7], 7, ("127.0.0.1", port), ieee34, cfg, max_retry_s=2.0)
+    t.join(timeout=30.0)
+    assert not t.is_alive()
+    res = box["res"]
+    # 7's link was down while 19 streamed, so k >= 10 were fused without 7,
+    # as the offline pipeline fuses a central stream that stops at k = 9
+    offline = run_offline(ieee34, placement, streams,
+                          central_streams={7: streams[7][:10], 19: streams[19]}, cfg=cfg)
+    assert res.event_log.to_jsonl() == offline.event_log.to_jsonl()
+    assert res.xs == offline.xs
+    assert res.sessions[7].frames == 120 and res.sessions[7].done
+    assert (res.stale_releases, res.late, res.gaps, res.skipped) == (110, 110, 110, 0)
 
 
 def test_central_rejects_unknown_sensor(ieee34):
