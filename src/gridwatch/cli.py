@@ -195,8 +195,11 @@ def cmd_serve_central(args) -> int:
     gaps = sum(s.gaps for s in result.sessions.values())
     print(f"sessions={len(result.sessions)} gaps={gaps} rejected={result.rejected}; "
           f"wrote {outdir}/eventlog.jsonl")
+    unfinished = sum(1 for b in placement.sensor_buses
+                     if b not in result.sessions or not result.sessions[b].done)
     lost = {"stale_releases": result.stale_releases, "late": result.late,
-            "central_gaps": result.gaps, "skipped": result.skipped}
+            "central_gaps": result.gaps, "skipped": result.skipped,
+            "unfinished": unfinished}
     if any(lost.values()):
         print("warning: central fusion incomplete: "
               + " ".join(f"{k}={v}" for k, v in lost.items()), file=sys.stderr)

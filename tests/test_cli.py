@@ -195,13 +195,12 @@ def test_serve_commands_roundtrip(tmp_path):
     assert (out / "eventlog.jsonl").read_text() == ""
 
 
-def test_serve_central_warns_on_early_bye(tmp_path, capsys):
-    """A sensor that says Bye early leaves samples fused without it: the run
-    says so on stderr, and its stdout summary line keeps its form."""
-    import re
+def _serve_central_with(tmp_path, send19, timeout="60"):
+    """serve-central for sensors 7 and 19 of the quiet scenario: `send19`
+    plays sensor 19's part from its frames, then sensor 7 streams to Bye.
+    Returns the exit code and sensor 19's frame count."""
     import socket
     import threading
-    from conftest import raw_sensor_session
     from gridwatch.model import load_feeder
     from gridwatch.transport import replay_csv, serve_local
 
@@ -213,15 +212,45 @@ def test_serve_central_warns_on_early_bye(tmp_path, capsys):
     rc_box = {}
     t = threading.Thread(target=lambda: rc_box.update(central=main(
         ["serve-central", "--feeder", "ieee34", "--placement", "7,19",
-         "--port", str(port), "--out", str(tmp_path / "out"), "--timeout", "60"])))
+         "--port", str(port), "--out", str(tmp_path / "out"), "--timeout", timeout])))
     t.start()
     frames19 = list(replay_csv(streams / "bus19.csv"))
-    raw_sensor_session(port, 19, frames19[:10], bye=True)
+    send19(port, frames19)
     serve_local(list(replay_csv(streams / "bus7.csv")), 7, ("127.0.0.1", port),
                 load_feeder(find_feeder("ieee34")))
     t.join(timeout=30.0)
-    assert not t.is_alive() and rc_box["central"] == 0
+    assert not t.is_alive()
+    return rc_box["central"], len(frames19)
+
+
+def test_serve_central_warns_on_early_bye(tmp_path, capsys):
+    """A sensor that says Bye early leaves samples fused without it: the run
+    says so on stderr, and its stdout summary line keeps its form."""
+    import re
+    from conftest import raw_sensor_session
+
+    rc, n19 = _serve_central_with(
+        tmp_path, lambda port, frames: raw_sensor_session(port, 19, frames[:10], bye=True))
+    assert rc == 0
     captured = capsys.readouterr()
     assert re.search(r"^sessions=2 gaps=0 rejected=0; wrote ", captured.out, re.M)
     stale = re.search(r"^warning: .*stale_releases=(\d+)", captured.err, re.M)
-    assert stale and int(stale.group(1)) == len(frames19) - 10
+    assert stale and int(stale.group(1)) == n19 - 10
+    assert re.search(r"^warning: .* unfinished=0$", captured.err, re.M)
+
+
+def test_serve_central_warns_on_unfinished_sensor(tmp_path, capsys):
+    """A sensor that sends every frame but closes without Bye is still
+    expected back, so the run ends on its timeout: the warning says that one
+    sensor never finished, though no sample was fused without it."""
+    import re
+    from conftest import raw_sensor_session
+
+    rc, _ = _serve_central_with(
+        tmp_path, lambda port, frames: raw_sensor_session(port, 19, frames, bye=False),
+        timeout="2")
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert re.search(r"^sessions=2 gaps=0 rejected=0; wrote ", captured.out, re.M)
+    assert re.search(r"^warning: central fusion incomplete: stale_releases=0 late=0 "
+                     r"central_gaps=0 skipped=0 unfinished=1$", captured.err, re.M)

@@ -33,13 +33,12 @@ def test_objective_matches_oracle_when_h_u_is_tall(ieee34_system):
     # K > B/2 with single-phase buses sensed: H_u has fewer columns than live
     # rows, so u is not G's bottom eigenvector but the one just above G's
     # structural zero eigenvalues, and the rows of absent phases drop out.
-    # Only placements whose u is well defined are compared: where H_u is
-    # rank-deficient or sigma_min is tied, the objective depends on the basis
-    # the solver picks (an open defect, see the placement module docstring).
+    # Most such placements have a rank-deficient H_u; there u comes from the
+    # SVD, as in the oracle, and both kinds must be among those compared.
     rng = np.random.default_rng(11)
     ids = ieee34_system.feeder.bus_ids
     partial = set(ids) - set(three_phase_buses(ieee34_system))
-    checked = 0
+    gaps = []
     for _ in range(400):
         k = int(rng.integers(len(ids) // 2 + 1, len(ids)))
         pick = Placement(tuple(int(b) for b in rng.choice(ids, size=k, replace=False)))
@@ -48,16 +47,38 @@ def test_objective_matches_oracle_when_h_u_is_tall(ieee34_system):
         if not (partial & set(pick.sensor_buses)
                 and part.H_u.shape[1] < np.count_nonzero(live) < len(live)):
             continue
-        lam = np.linalg.svd(part.H_u[live], compute_uv=False) ** 2
-        if min(lam[-1], lam[-2] - lam[-1]) < 1e-6 * lam[0]:
-            continue
         direct = objective(ieee34_system, pick)
         oracle = dense_eig_oracle(ieee34_system, pick)
         assert direct == pytest.approx(oracle, rel=1e-10, abs=1e-12)
-        checked += 1
-        if checked == 8:
+        lam = np.linalg.svd(part.H_u[live], compute_uv=False) ** 2
+        gaps.append(min(lam[-1], lam[-2] - lam[-1]) / lam[0])
+        if len(gaps) == 12:
             break
-    assert checked == 8
+    assert len(gaps) == 12
+    assert min(gaps) < 1e-7 < max(gaps)
+
+
+@pytest.mark.parametrize("lam_min", [1e-3, 1e-5, 1e-9, 1e-13])
+def test_smallest_left_singular_vector_small_gap(lam_min):
+    # A tall h_u with lambda_min = lam_min * lambda_max and the next eigenvalue
+    # 4x above it. Below a gap of 1e-7 lambda_max the eigensolve of the Gram
+    # matrix cannot tell sigma_min^2 from its structural zeros, and the SVD
+    # takes over; either way u is the SVD's to 1e-9 in norm, up to phase.
+    from gridwatch.central import smallest_left_singular_vector as svd_vector
+    from gridwatch.placement import smallest_left_singular_vector
+    rng = np.random.default_rng(2)
+    n, n_u = 40, 25
+    q_l, _ = np.linalg.qr(rng.normal(size=(n, n_u)) + 1j * rng.normal(size=(n, n_u)))
+    q_r, _ = np.linalg.qr(rng.normal(size=(n_u, n_u)) + 1j * rng.normal(size=(n_u, n_u)))
+    sigma = np.sqrt(np.concatenate([np.geomspace(1.0, 0.1, n_u - 2),
+                                    [4 * lam_min, lam_min]]))
+    h_u = (q_l * sigma) @ q_r.conj().T
+    u = smallest_left_singular_vector(h_u, np.ones(n, dtype=bool), np.ones(n_u, dtype=bool),
+                                      h_u @ h_u.conj().T)
+    ref, _ = svd_vector(h_u)
+    phase = np.vdot(ref, u) / abs(np.vdot(ref, u))
+    assert np.linalg.norm(u - phase * ref) < 1e-9
+    assert np.linalg.norm(h_u.conj().T @ u) == pytest.approx(np.sqrt(lam_min), rel=1e-6)
 
 
 def svd_reference_greedy(system, k):
@@ -71,12 +92,13 @@ def svd_reference_greedy(system, k):
     return final.sensor_buses, dense_eig_oracle(system, final)
 
 
-def test_solvers_match_svd_reference_ieee34(ieee34_system):
+def test_greedy_matches_svd_reference_ieee34(ieee34_system):
+    # exhaustive K=3 is pinned to the greedy by acceptance criterion 1
     buses, cost = svd_reference_greedy(ieee34_system, 3)
     assert buses == (2, 23, 29)
-    for res in (greedy_place(ieee34_system, 3), exhaustive_place(ieee34_system, 3)):
-        assert res.placement.sensor_buses == buses
-        assert res.objective == pytest.approx(cost, rel=1e-9)
+    res = greedy_place(ieee34_system, 3)
+    assert res.placement.sensor_buses == buses
+    assert res.objective == pytest.approx(cost, rel=1e-9)
 
 
 def test_greedy_matches_svd_reference_ieee123_reduced(ieee123):
