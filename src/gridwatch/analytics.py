@@ -250,7 +250,6 @@ class DetectorState:
     g_minus: float = 0.0
     armed: bool = False
     last_z: float = 0.0
-    samples_seen: int = 0
     _n: int = field(default=0, repr=False)
     _w_mean: float = field(default=0.0, repr=False)
     _w_m2: float = field(default=0.0, repr=False)
@@ -263,7 +262,6 @@ class DetectorState:
 
 def cusum_step(state: DetectorState, x: float) -> bool:
     """Advance the detector by one sample; True when a change is declared."""
-    state.samples_seen += 1
     if not state.armed:
         state._n += 1
         d = x - state._w_mean
@@ -323,138 +321,196 @@ class Segment:
     """One emission from the segmentation state machine."""
     start_k: int
     end_k: int | None          # None for the mid-event persistent emission
-    count: int
-    values: list
-    violation_ks: list
+    last_k: int                # latest violation so far; equals end_k once closed
 
 
 class EventSegmenter:
     """Groups a violation flag stream into events (local-engine flowchart).
 
     An event opens at the first violation; it closes once T1 consecutive
-    samples pass with no new violation (end = last violation). If the
-    violation count inside one open event exceeds T2, a persistent emission
-    is produced immediately and the event stays open.
+    samples pass with no new violation (end = last violation). When the
+    violation count inside one open event reaches T2 + 1, a persistent
+    emission is produced immediately and the event stays open. The state is
+    an open flag and three integers, whatever the event's length.
     """
 
     def __init__(self, t1: int, t2: int):
         self.t1 = t1
         self.t2 = t2
         self._open = False
-        self._persistent_sent = False
         self._start = 0
         self._last = 0
         self._count = 0
-        self._values: list = []
-        self._ks: list = []
 
     @property
     def open(self) -> bool:
         return self._open
 
-    def step(self, k: int, violated: bool, value=None) -> list[Segment]:
-        out: list[Segment] = []
+    def step(self, k: int, violated: bool) -> list[Segment]:
         if violated:
             if not self._open:
                 self._open = True
-                self._persistent_sent = False
                 self._start = k
                 self._count = 0
-                self._values = []
-                self._ks = []
             self._count += 1
             self._last = k
-            self._values.append(value)
-            self._ks.append(k)
-            if self._count > self.t2 and not self._persistent_sent:
-                self._persistent_sent = True
-                out.append(Segment(self._start, None, self._count,
-                                   list(self._values), list(self._ks)))
+            if self._count == self.t2 + 1:
+                return [Segment(self._start, None, k)]
         elif self._open and k - self._last >= self.t1:
-            out.append(self._close())
-        return out
+            return [self._close()]
+        return []
 
     def flush(self) -> list[Segment]:
         return [self._close()] if self._open else []
 
     def _close(self) -> Segment:
-        seg = Segment(self._start, self._last, self._count,
-                      list(self._values), list(self._ks))
         self._open = False
-        return seg
+        return Segment(self._start, self._last, self._last)
 
 
 def segment_events(flags, t1: int, t2: int, start_k: int = 0):
     """Run a flag sequence through the state machine; list of (start, end|None)."""
     seg = EventSegmenter(t1, t2)
     out = []
-    k = start_k
     for k, f in enumerate(flags, start=start_k):
         out.extend((s.start_k, s.end_k) for s in seg.step(k, bool(f)))
     out.extend((s.start_k, s.end_k) for s in seg.flush())
     return out
 
 
-class _TrendChannel:
-    """CUSUM-driven scalar channel with trend labeling around event onset."""
+class _Channel:
+    """One scalar channel of a local rule: its segmenter and its reports.
 
-    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config):
-        self.rule = rule
+    Each subclass keeps a running severity for the open event, resets it
+    when an event opens, and builds the report in `_report`.
+    """
+
+    def __init__(self, bus: int, line: str | None, cfg: Config):
         self.bus = bus
         self.line = line
         self.cfg = cfg
-        self.det = DetectorState.from_config(cfg)
         self.seg = EventSegmenter(cfg.t1, cfg.t2)
-        self.history: deque = deque(maxlen=cfg.trend_window + 1)
-        self._label: str | None = None
-        self._post: list[float] = []
-        self._pre: list[float] = []
-        self._collecting = False
+
+    def flush(self) -> list[AnomalyReport]:
+        return [self._report(s) for s in self.seg.flush()]
+
+
+class _VoltageChannel(_Channel):
+    """Magnitude band rule on one phase; severity is the extremal magnitude."""
+
+    def __init__(self, bus: int, cfg: Config):
+        super().__init__(bus, None, cfg)
+        self._ext = 1.0
+
+    def step(self, k: int, v: float) -> list[AnomalyReport]:
+        violated = not (self.cfg.v_normal_low < v < self.cfg.v_normal_high)
+        # keep the first sample with the largest |v - 1| of the event
+        if violated and (not self.seg.open or abs(v - 1.0) > abs(self._ext - 1.0)):
+            self._ext = v
+        return [self._report(s) for s in self.seg.step(k, violated)]
+
+    def _report(self, s: Segment) -> AnomalyReport:
+        cfg = self.cfg
+        label, _ = classify_voltage([self._ext], cfg.t0_s, cfg.ts_s,
+                                    cfg.v_normal_low, cfg.v_normal_high,
+                                    cfg.v_interruption, cfg.v_sustained_s,
+                                    tau_samples=s.last_k - s.start_k + 1)
+        return AnomalyReport(rule=VOLTAGE_MAG, label=label, bus=self.bus, line=None,
+                             start_k=s.start_k, end_k=s.end_k, severity=self._ext)
+
+
+class _OvercurrentChannel(_Channel):
+    """Rating rule on one phase of a line; severity is peak current / rating."""
+
+    def __init__(self, bus: int, line: str, rating: float, cfg: Config):
+        super().__init__(bus, line, cfg)
+        self.rating = float(rating)
+        self._peak = 0.0
+
+    def step(self, k: int, i: float) -> list[AnomalyReport]:
+        violated = check_overcurrent(i, self.rating)
+        if violated and (not self.seg.open or i > self._peak):
+            self._peak = i
+        return [self._report(s) for s in self.seg.step(k, violated)]
+
+    def _report(self, s: Segment) -> AnomalyReport:
+        return AnomalyReport(rule=OVERCURRENT, label="overcurrent", bus=self.bus,
+                             line=self.line, start_k=s.start_k, end_k=s.end_k,
+                             severity=self._peak / self.rating)
+
+
+class _ChangeChannel(_Channel):
+    """CUSUM rule on one scalar channel; severity is the event's peak |z|.
+
+    Events are labeled "transient", as the steady-state-validity rule wants;
+    `_TrendChannel` labels them from the signal around the onset instead.
+    """
+
+    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config):
+        super().__init__(bus, line, cfg)
+        self.rule = rule
+        self.det = DetectorState.from_config(cfg)
         self._peak_z = 0.0
 
     def step(self, k: int, x: float) -> list[AnomalyReport]:
         changed = cusum_step(self.det, x)
-        if changed and not self.seg.open:
+        opened = changed and not self.seg.open
+        if opened:
+            self._peak_z = 0.0
+        if changed or self.seg.open:
+            self._peak_z = max(self._peak_z, abs(self.det.last_z))
+        self._observe(x, opened)
+        return [self._report(s) for s in self.seg.step(k, changed)]
+
+    def _observe(self, x: float, opened: bool) -> None:
+        """Sees every sample after the detector, and whether it opened an event."""
+
+    def _label(self) -> str:
+        return "transient"
+
+    def _report(self, s: Segment) -> AnomalyReport:
+        return AnomalyReport(rule=self.rule, label=self._label(), bus=self.bus,
+                             line=self.line, start_k=s.start_k, end_k=s.end_k,
+                             severity=self._peak_z)
+
+
+class _TrendChannel(_ChangeChannel):
+    """CUSUM channel with trend labeling around event onset."""
+
+    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config):
+        super().__init__(rule, bus, line, cfg)
+        self.history: deque = deque(maxlen=cfg.trend_window + 1)
+        self._trend: str | None = None
+        self._post: list[float] = []
+        self._pre: list[float] = []
+        self._collecting = False
+
+    def _observe(self, x: float, opened: bool) -> None:
+        if opened:
             # snapshot the signal leading into the event for trend labeling
             self._pre = list(self.history)
             self._post = []
             self._collecting = True
-            self._label = None
-            self._peak_z = 0.0
-        if self.seg.open or changed:
-            self._peak_z = max(self._peak_z, abs(self.det.last_z))
+            self._trend = None
         self.history.append(x)
         if self._collecting:
             self._post.append(x)
             if len(self._post) >= self.cfg.trend_window:
                 self._finish_label()
-        return [self._report(s) for s in self.seg.step(k, changed, x)]
 
-    def flush(self) -> list[AnomalyReport]:
-        return [self._report(s) for s in self.seg.flush()]
+    def _label(self) -> str:
+        if self._collecting:
+            self._finish_label()
+        return self._trend
 
     def _finish_label(self) -> None:
         sig = np.array(self._pre + self._post, dtype=float)
         try:
-            self._label = classify_trend(sig, len(self._pre), self.cfg.trend_window,
+            self._trend = classify_trend(sig, len(self._pre), self.cfg.trend_window,
                                          self.cfg.slope_min, self.cfg.variance_ratio)
         except ValueError:
-            self._label = "surge" if (self._post and self._post[-1] >= (self._pre or [0])[-1]) else "drop"
+            self._trend = "surge" if (self._post and self._post[-1] >= (self._pre or [0])[-1]) else "drop"
         self._collecting = False
-
-    def _report(self, s: Segment) -> AnomalyReport:
-        if self._label is None and self._collecting:
-            self._finish_label()
-        return AnomalyReport(rule=self.rule, label=self._label or "oscillation",
-                             bus=self.bus, line=self.line, start_k=s.start_k,
-                             end_k=s.end_k, severity=self._peak_z)
-
-
-class _QssChannel(_TrendChannel):
-    def _report(self, s: Segment) -> AnomalyReport:
-        return AnomalyReport(rule=QSS_VALIDITY, label="transient", bus=self.bus,
-                             line=self.line, start_k=s.start_k, end_k=s.end_k,
-                             severity=self._peak_z)
 
 
 class LocalEngine:
@@ -464,27 +520,24 @@ class LocalEngine:
                  cfg: Config | None = None):
         self.bus = bus
         self.cfg = cfg = cfg or Config()
-        self.line_ratings = {lid: np.asarray(r, dtype=float)
-                             for lid, r in line_ratings.items()}
         self.freq = FrequencyTracker(cfg.lambda_forget)
         self.windows = {lid: WindowBuffer(cfg.m) for lid in line_ratings}
-        self._volt_seg = [EventSegmenter(cfg.t1, cfg.t2) for _ in range(3)]
-        self._oc_seg = {lid: [EventSegmenter(cfg.t1, cfg.t2) for _ in range(3)]
-                        for lid in line_ratings}
-        self._chan: list[_TrendChannel] = []
-        self._line_chans: dict[tuple[str, str, int], _TrendChannel] = {}
-        for lid in line_ratings:
-            for rule in (ACTIVE_POWER, REACTIVE_POWER, CURRENT_MAG):
-                for ph in range(3):
-                    c = _TrendChannel(rule, bus, lid, cfg)
-                    self._line_chans[(rule, lid, ph)] = c
-                    self._chan.append(c)
-            q = _QssChannel(QSS_VALIDITY, bus, lid, cfg)
-            self._line_chans[(QSS_VALIDITY, lid, 0)] = q
-            self._chan.append(q)
-        self._freq_chan = _TrendChannel(FREQUENCY, bus, None, cfg)
-        self._chan.append(self._freq_chan)
-        self.last_derived: DerivedSample | None = None
+        # (line or None, DerivedSample field, phase or None, channel) in
+        # report order; a line's channel skips frames where its field has no
+        # value for the line (line absent, or QSS window not yet full)
+        chans: list[tuple[str | None, str, int | None, _Channel]] = [
+            (None, "vmag", ph, _VoltageChannel(bus, cfg)) for ph in range(3)]
+        for lid, rating in line_ratings.items():
+            chans += [(lid, "imag", ph, _OvercurrentChannel(bus, lid, rating[ph], cfg))
+                      for ph in range(3)]
+            for rule, fld in ((ACTIVE_POWER, "p"), (REACTIVE_POWER, "q"),
+                              (CURRENT_MAG, "imag")):
+                chans += [(lid, fld, ph, _TrendChannel(rule, bus, lid, cfg))
+                          for ph in range(3)]
+            chans.append((lid, "qss_residual", None,
+                          _ChangeChannel(QSS_VALIDITY, bus, lid, cfg)))
+        chans.append((None, "beta_hat", None, _TrendChannel(FREQUENCY, bus, None, cfg)))
+        self._channels = chans
 
     def derive(self, frame: PhasorFrame) -> DerivedSample:
         vmag = np.abs(frame.v)
@@ -498,67 +551,20 @@ class LocalEngine:
                 w.push(frame.v, i)
                 R = qss_correlations(w)
                 resid[lid] = qss_residual(R) if R is not None else None
-        d = DerivedSample(k=frame.k, vmag=vmag, imag=imag, p=p, q=q,
-                          beta_hat=beta, qss_residual=resid)
-        self.last_derived = d
-        return d
+        return DerivedSample(k=frame.k, vmag=vmag, imag=imag, p=p, q=q,
+                             beta_hat=beta, qss_residual=resid)
 
     def step(self, frame: PhasorFrame) -> list[AnomalyReport]:
-        cfg = self.cfg
         d = self.derive(frame)
         out: list[AnomalyReport] = []
-        for ph in range(3):
-            v = float(d.vmag[ph])
-            violated = not (cfg.v_normal_low < v < cfg.v_normal_high)
-            for s in self._volt_seg[ph].step(frame.k, violated, v):
-                out.append(self._voltage_report(s))
-        for lid, rating in self.line_ratings.items():
-            if lid not in d.imag:
-                continue
-            flags = check_overcurrent(d.imag[lid], rating)
-            for ph in range(3):
-                for s in self._oc_seg[lid][ph].step(frame.k, bool(flags[ph]),
-                                                    float(d.imag[lid][ph])):
-                    sev = max((val / rating[ph] for val in s.values if val is not None),
-                              default=0.0) if rating[ph] > 0 else 0.0
-                    out.append(AnomalyReport(rule=OVERCURRENT, label="overcurrent",
-                                             bus=self.bus, line=lid, start_k=s.start_k,
-                                             end_k=s.end_k, severity=float(sev)))
-            for rule, arr in ((ACTIVE_POWER, d.p[lid]), (REACTIVE_POWER, d.q[lid]),
-                              (CURRENT_MAG, d.imag[lid])):
-                for ph in range(3):
-                    out.extend(self._line_chans[(rule, lid, ph)].step(frame.k, float(arr[ph])))
-            x = d.qss_residual.get(lid)
-            if x is not None:
-                out.extend(self._line_chans[(QSS_VALIDITY, lid, 0)].step(frame.k, x))
-        out.extend(self._freq_chan.step(frame.k, d.beta_hat))
+        for lid, fld, ph, chan in self._channels:
+            x = getattr(d, fld)
+            if lid is not None:
+                x = x.get(lid)
+                if x is None:
+                    continue
+            out.extend(chan.step(frame.k, x if ph is None else float(x[ph])))
         return out
 
     def finish(self) -> list[AnomalyReport]:
-        out: list[AnomalyReport] = []
-        for ph in range(3):
-            out.extend(self._voltage_report(s) for s in self._volt_seg[ph].flush())
-        for lid in self.line_ratings:
-            for ph in range(3):
-                for s in self._oc_seg[lid][ph].flush():
-                    rating = self.line_ratings[lid][ph]
-                    sev = max((val / rating for val in s.values if val is not None),
-                              default=0.0) if rating > 0 else 0.0
-                    out.append(AnomalyReport(rule=OVERCURRENT, label="overcurrent",
-                                             bus=self.bus, line=lid, start_k=s.start_k,
-                                             end_k=s.end_k, severity=float(sev)))
-        for c in self._chan:
-            out.extend(c.flush())
-        return out
-
-    def _voltage_report(self, s: Segment) -> AnomalyReport:
-        vals = [v for v in s.values if v is not None]
-        last = s.end_k if s.end_k is not None else (s.violation_ks[-1] if s.violation_ks else s.start_k)
-        label, _ = classify_voltage(vals, self.cfg.t0_s, self.cfg.ts_s,
-                                    self.cfg.v_normal_low, self.cfg.v_normal_high,
-                                    self.cfg.v_interruption, self.cfg.v_sustained_s,
-                                    tau_samples=last - s.start_k + 1)
-        ext = float(vals[int(np.argmax(np.abs(np.array(vals) - 1.0)))]) if vals else 1.0
-        return AnomalyReport(rule=VOLTAGE_MAG, label=label or "transient",
-                             bus=self.bus, line=None, start_k=s.start_k,
-                             end_k=s.end_k, severity=ext)
+        return [r for *_, chan in self._channels for r in chan.flush()]

@@ -153,6 +153,7 @@ class CentralChangeTracker:
         self.skipped = 0
         self.xs: list[tuple[int, float]] = []
         self._peak = 0.0
+        self._change_ks: list[int] = []
 
     def step(self, sample: FusedSample) -> list[CentralChangeRecord]:
         if not all(sample.completeness):
@@ -165,31 +166,21 @@ class CentralChangeTracker:
             return []
         self.xs.append((sample.k, x))
         changed = cusum_step(self.det, x)
+        if changed:
+            if not self.seg.open:
+                self._peak = 0.0
+                self._change_ks = []
+            self._change_ks.append(sample.k)
         if changed or self.seg.open:
             self._peak = max(self._peak, abs(self.det.last_z))
-        recs = [self._record(s) for s in self.seg.step(sample.k, changed)]
-        return recs
+        return [self._record(s) for s in self.seg.step(sample.k, changed)]
 
     def finish(self) -> list[CentralChangeRecord]:
         return [self._record(s) for s in self.seg.flush()]
 
     def _record(self, seg) -> CentralChangeRecord:
-        rec = CentralChangeRecord(start_k=seg.start_k, end_k=seg.end_k,
-                                  change_ks=tuple(seg.violation_ks),
-                                  severity=self._peak)
-        if seg.end_k is not None:
-            self._peak = 0.0
-        return rec
-
-
-def central_change_stream(model: CentralModel, fused, cfg: Config | None = None):
-    """Run the tracker over an iterable of FusedSample; (records, x series)."""
-    tr = CentralChangeTracker(model, cfg)
-    records = []
-    for sample in fused:
-        records.extend(tr.step(sample))
-    records.extend(tr.finish())
-    return records, tr.xs
+        return CentralChangeRecord(start_k=seg.start_k, end_k=seg.end_k,
+                                   change_ks=tuple(self._change_ks), severity=self._peak)
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_stream(path: str | Path) -> list:
+    """Frames of one stream CSV; says on stderr how many rows were malformed."""
+    frames, skipped = synth.read_stream_csv(path)
+    if skipped:
+        print(f"warning: skipped {skipped} malformed row(s) in {path}", file=sys.stderr)
+    return frames
+
+
 def _read_streams(directory: Path) -> dict[int, list]:
     streams = {}
     for path in sorted(directory.glob("bus*.csv")):
-        frames, _ = synth.read_stream_csv(path)
+        frames = _read_stream(path)
         if frames:
             streams[frames[0].bus] = frames
     if not streams:
@@ -207,10 +215,10 @@ def cmd_serve_central(args) -> int:
 
 
 def cmd_serve_local(args) -> int:
-    from .transport import replay_csv, serve_local
+    from .transport import pace, serve_local
     cfg = _config(args)
     feeder = load_feeder(find_feeder(args.feeder))
-    frames = replay_csv(args.stream, args.rate)
+    frames = pace(_read_stream(args.stream), args.rate)
     try:
         stats = serve_local(frames, args.sensor, (args.host, args.port or cfg.port),
                             feeder, cfg, spool_path=args.spool)

@@ -319,18 +319,13 @@ class MessageStream:
             return msg
 
 
-def replay_csv(path: str | Path, rate_multiplier: float = 0.0,
-               sample_rate: float = 120.0):
-    """Frames from a recorded stream CSV, paced unless multiplier is 0."""
-    from .synth import read_stream_csv
-    frames, skipped = read_stream_csv(path)
+def pace(frames, rate_multiplier: float = 0.0, sample_rate: float = 120.0):
+    """Yield recorded frames at rate_multiplier x real time; 0 means unpaced."""
     period = (1.0 / (sample_rate * rate_multiplier)) if rate_multiplier > 0 else 0.0
     for f in frames:
         if period:
             time.sleep(period)
         yield f
-    if skipped:
-        pass  # surfaced via SessionState gap counters downstream
 
 
 @dataclass

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.analytics import (DetectorState, EventSegmenter, FrequencyTracker,
-                                 WindowBuffer, check_overcurrent, classify_trend,
-                                 classify_voltage, complex_power, cusum_step,
-                                 estimate_frequency_drift, qss_correlations,
-                                 qss_residual, segment_events)
+from gridwatch import central
+from gridwatch.analytics import (OVERCURRENT, QSS_VALIDITY, VOLTAGE_MAG, DetectorState,
+                                 EventSegmenter, FrequencyTracker, LocalEngine,
+                                 PhasorFrame, WindowBuffer, check_overcurrent,
+                                 classify_trend, classify_voltage, complex_power,
+                                 cusum_step, estimate_frequency_drift,
+                                 qss_correlations, qss_residual, segment_events)
+from gridwatch.config import Config
 
 
 # ---------------------------------------------------------------- power
@@ -339,3 +344,127 @@ def test_segment_deterministic():
 def test_segment_flush_closes_open_event():
     events = segment_events([False, True, True], t1=100, t2=100)
     assert events == [(1, 2)]
+
+
+# ---------------------------------------------------------------- report severities and labels
+
+def _engine_reports(eng, frames, rule):
+    reps = []
+    for f in frames:
+        reps += eng.step(f)
+    return [r for r in reps + eng.finish() if r.rule == rule]
+
+
+def _phase_a_frames(mags_a, i_lines=None):
+    """Frames whose phase-a voltage magnitude follows mags_a."""
+    nominal = balanced()
+    return [PhasorFrame(k=k, bus=3, v=np.array([m, nominal[1], nominal[2]]),
+                        i_lines={} if i_lines is None else i_lines(k))
+            for k, m in enumerate(mags_a)]
+
+
+def test_voltage_severity_is_first_extremum_mid_event():
+    # 0.5 and 1.5 tie on |v - 1|; the first one decides the label. The
+    # second, shallower event starts its own extremum.
+    mags = [1.0] * 10 + [0.8, 0.5, 0.7, 1.5, 0.6] + [1.0] * 10 + [0.85, 0.8] + [1.0] * 10
+    reps = _engine_reports(LocalEngine(3, {}, Config(t1=5)), _phase_a_frames(mags),
+                           VOLTAGE_MAG)
+    assert [(r.label, r.start_k, r.end_k, r.severity) for r in reps] == [
+        ("sag", 10, 14, 0.5), ("sag", 25, 26, 0.8)]
+
+
+def test_voltage_persistent_record_uses_its_own_span():
+    # the persistent emission at the 11th violation (k=15) spans 11 samples,
+    # longer than the 6-sample sustained limit: undervoltage, not sag
+    cfg = Config(t1=5, t2=10, v_sustained_s=0.05)
+    mags = [1.0] * 5 + [0.6] * 4 + [0.5] + [0.6] * 6 + [0.3] + [0.6] * 3 + [1.0] * 10
+    reps = _engine_reports(LocalEngine(3, {}, cfg), _phase_a_frames(mags), VOLTAGE_MAG)
+    assert [(r.label, r.start_k, r.end_k, r.severity) for r in reps] == [
+        ("undervoltage", 5, None, 0.5), ("undervoltage", 5, 19, 0.3)]
+
+
+def test_overcurrent_severity_is_peak_over_rating():
+    ia = [1.0] * 20 + [2.5, 5.0, 3.0] + [1.0] * 10
+    # phase c carries no rating, so its large current never flags
+    reps = _engine_reports(
+        LocalEngine(3, {"3-4": np.array([2.0, 1.0, 0.0])}, Config(t1=5)),
+        _phase_a_frames([1.0] * len(ia),
+                        lambda k: {"3-4": np.array([ia[k], 0.5, 9.0], dtype=complex)}),
+        OVERCURRENT)
+    assert [(r.line, r.start_k, r.end_k, r.severity) for r in reps] == [
+        ("3-4", 20, 22, 2.5)]
+
+
+def test_qss_events_are_transient():
+    # a phase-a step at k=60 mixes two voltage directions in the window
+    mags = [1.0] * 60 + [0.5] * 60
+    frames = _phase_a_frames(mags, lambda k: {"3-4": 0.5 * np.array([mags[k], 1, 1])})
+    eng = LocalEngine(3, {"3-4": np.ones(3)}, Config(warmup=10, t1=5))
+    reps = _engine_reports(eng, frames, QSS_VALIDITY)
+    assert [(r.label, r.start_k, r.end_k) for r in reps] == [
+        ("transient", 60, 60), ("transient", 73, 73)]
+
+
+def test_central_change_ks_persistent_then_closed(monkeypatch):
+    monkeypatch.setattr(central, "central_metric", lambda model, d_a: float(d_a[0].real))
+    cfg = Config(warmup=5, t1=40, t2=2)
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=400) + np.concatenate(
+        [np.zeros(100), np.tile([40.0] * 8 + [0.0] * 8, 2), np.zeros(168), np.full(100, 40.0)])
+    det = DetectorState.from_config(cfg)
+    ks = [k for k, x in enumerate(xs) if cusum_step(det, x)]
+    # two clusters: a persistent one from the square wave, then a short one
+    first, second = [k for k in ks if k < 250], [k for k in ks if k >= 250]
+    assert len(first) > cfg.t2 + 1 and 0 < len(second) <= cfg.t2
+    assert second[0] - first[-1] > cfg.t1
+
+    tracker = central.CentralChangeTracker(None, cfg)
+    recs = []
+    for k, x in enumerate(xs):
+        recs += tracker.step(central.FusedSample(k=k, d_a=np.array([x + 0j]),
+                                                 completeness=(True,)))
+    recs += tracker.finish()
+    assert [(r.start_k, r.end_k, r.change_ks) for r in recs] == [
+        (first[0], None, tuple(first[:cfg.t2 + 1])), (first[0], first[-1], tuple(first)),
+        (second[0], second[-1], tuple(second))]
+
+
+# ---------------------------------------------------------------- memory
+
+def _retained_bytes(run) -> int:
+    """Bytes still allocated after run(), while its result is kept alive."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = run()
+        retained = tracemalloc.get_traced_memory()[0] - before
+        del kept
+        return retained
+    finally:
+        tracemalloc.stop()
+
+
+def _interruption(n):
+    eng = LocalEngine(3, {}, Config())
+    v = balanced(0.05)
+    for k in range(n):
+        eng.step(PhasorFrame(k=k, bus=3, v=v, i_lines={}))
+    return eng
+
+
+def _violations(n):
+    seg = EventSegmenter(t1=10, t2=240)
+    for k in range(n):
+        seg.step(k, True)
+    return seg
+
+
+def test_memory_flat_over_long_events():
+    """An event's state does not grow with its length: all three phases in
+    interruption for 20k frames retain what 2k frames do, and so does a
+    segmenter after 120k violations."""
+    engine = _retained_bytes(lambda: _interruption(20_000)) - _retained_bytes(
+        lambda: _interruption(2_000))
+    segmenter = _retained_bytes(lambda: _violations(120_000)) - _retained_bytes(
+        lambda: _violations(2_000))
+    assert engine < 50_000 and segmenter < 50_000, (engine, segmenter)

@@ -62,6 +62,56 @@ def test_analyze_deterministic_bytes(tmp_path):
     assert (a / "central_x.csv").read_bytes() == (b / "central_x.csv").read_bytes()
 
 
+def _quiet_streams_with_bad_row(tmp_path):
+    """quiet scenario streams whose bus7.csv has one malformed row at k=100."""
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    path = streams / "bus7.csv"
+    lines = path.read_text().splitlines()
+    i = next(n for n, ln in enumerate(lines) if ln.startswith("100,"))
+    lines[i] = lines[i].replace(lines[i].split(",")[2], "not_a_number", 1)
+    path.write_text("\n".join(lines) + "\n")
+    return streams, path
+
+
+def test_analyze_warns_on_malformed_rows(tmp_path, capsys):
+    streams, bad = _quiet_streams_with_bad_row(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["analyze", "--streams", str(streams), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: skipped 1 malformed row(s) in {bad}\n"
+    assert captured.out.startswith("0 log entries, 0 incident(s), 0 gap(s); wrote ")
+
+
+def test_serve_local_warns_on_malformed_rows(tmp_path, capsys):
+    import socket
+    import threading
+
+    streams, bad = _quiet_streams_with_bad_row(tmp_path)
+    capsys.readouterr()
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+
+        def sink():
+            conn, _ = server.accept()
+            with conn:
+                while conn.recv(65536):
+                    pass
+
+        t = threading.Thread(target=sink)
+        t.start()
+        rc = main(["serve-local", "--feeder", "ieee34", "--sensor", "7",
+                   "--stream", str(bad), "--port", str(server.getsockname()[1])])
+        t.join(timeout=30.0)
+        assert not t.is_alive()
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: skipped 1 malformed row(s) in {bad}\n"
+    assert captured.out.startswith("sent 480 frames, ")
+
+
 def test_analyze_derived_metrics(tmp_path):
     streams = tmp_path / "streams"
     out = tmp_path / "out"
@@ -202,7 +252,8 @@ def _serve_central_with(tmp_path, send19, timeout="60"):
     import socket
     import threading
     from gridwatch.model import load_feeder
-    from gridwatch.transport import replay_csv, serve_local
+    from gridwatch.synth import read_stream_csv
+    from gridwatch.transport import serve_local
 
     streams = tmp_path / "streams"
     main(["simulate", "--scenario", "quiet", "--out", str(streams)])
@@ -214,9 +265,9 @@ def _serve_central_with(tmp_path, send19, timeout="60"):
         ["serve-central", "--feeder", "ieee34", "--placement", "7,19",
          "--port", str(port), "--out", str(tmp_path / "out"), "--timeout", timeout])))
     t.start()
-    frames19 = list(replay_csv(streams / "bus19.csv"))
+    frames19, _ = read_stream_csv(streams / "bus19.csv")
     send19(port, frames19)
-    serve_local(list(replay_csv(streams / "bus7.csv")), 7, ("127.0.0.1", port),
+    serve_local(read_stream_csv(streams / "bus7.csv")[0], 7, ("127.0.0.1", port),
                 load_feeder(find_feeder("ieee34")))
     t.join(timeout=30.0)
     assert not t.is_alive()

@@ -9,11 +9,11 @@ from gridwatch.analytics import AnomalyReport, PhasorFrame
 from gridwatch.config import Config
 from gridwatch.model import Placement
 from gridwatch.pipeline import run_offline
-from gridwatch.synth import Scenario, generate, write_stream_csv
+from gridwatch.synth import Scenario, generate, read_stream_csv, write_stream_csv
 from gridwatch.transport import (BYE, FRAME, HEARTBEAT, HELLO, REPORT,
                                  ChecksumError, FrameAligner, Message,
                                  ProtocolError, TruncatedError, VersionError,
-                                 decode, encode, replay_csv, serve_central,
+                                 decode, encode, pace, serve_central,
                                  serve_local)
 
 from conftest import raw_sensor_session
@@ -168,7 +168,7 @@ def test_replay_csv_roundtrip(tmp_path, ieee34):
     streams, _ = generate(sc, ieee34)
     path = tmp_path / "bus7.csv"
     write_stream_csv(path, streams[7], sc.start_time)
-    back = list(replay_csv(path, rate_multiplier=0.0))
+    back = list(pace(read_stream_csv(path)[0], rate_multiplier=0.0))
     assert len(back) == len(streams[7])
     for a, b in zip(streams[7], back):
         assert a.k == b.k
