@@ -1,17 +1,29 @@
 """Local engine: per-sensor stream analytics and the six local rules.
 
 A local engine sees one sensor's phasor stream and nothing else -- no
-admittances, no siting information. Per sample it derives magnitudes,
-per-phase powers, a frequency-drift estimate and a quasi-steady-state
-subspace residual per incident line, runs threshold and change-detection
-rules on each scalar channel, and segments rule violations into labeled
+admittances, no siting information. It works on blocks of frames. One
+vectorised derive turns a block into columns: magnitudes, per-phase powers,
+a frequency-drift estimate and a quasi-steady-state subspace residual per
+incident line. Then one loop per scalar channel runs that channel's
+threshold or change-detection rule and segments its violations into labeled
 anomaly reports.
+
+Between blocks the engine carries a small, fixed state: the last M rows of
+each line's window, the previous positive-sequence value, each channel's
+detector and segmenter, and its recent samples for trend labeling. A stream
+fed one frame at a time (`LocalEngine.step`) and the same stream fed in
+blocks of any length (`LocalEngine.run`) go through the same kernels and
+give the same reports, bit for bit. That is also why powers, the positive
+sequence and the window correlations are computed in separately rounded
+real arithmetic: numpy's complex multiply rounds differently depending on
+the length of the array.
 """
 from __future__ import annotations
 
+import cmath
 import math
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -78,24 +90,61 @@ class AnomalyReport:
 
 
 @dataclass
-class DerivedSample:
-    k: int
-    vmag: np.ndarray                       # (3,)
-    imag: dict[str, np.ndarray]            # line -> (3,)
-    p: dict[str, np.ndarray]               # line -> (3,)
-    q: dict[str, np.ndarray]               # line -> (3,)
-    beta_hat: float                        # rad/sample
-    qss_residual: dict[str, float | None]  # None until window fills
+class LineColumns:
+    """One incident line's derived columns, over the block frames that carry it."""
+    rows: list[int]            # block positions of those frames
+    ks: list[int]              # their sample indices
+    imag: np.ndarray           # (n, 3)
+    p: np.ndarray              # (n, 3)
+    q: np.ndarray              # (n, 3)
+    qss_rows: list[int]        # the positions whose QSS window is full
+    qss_ks: list[int]
+    qss_residual: np.ndarray   # (len(qss_rows),)
 
 
-def complex_power(v: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-phase active/reactive power: S_p = v_p * conj(i_p)."""
-    s = v * np.conj(i)
-    return s.real, s.imag
+@dataclass
+class DerivedBlock:
+    """Derived columns of a block of frames, one row per frame."""
+    ks: list[int]
+    vmag: np.ndarray                  # (T, 3)
+    beta_hat: np.ndarray              # (T,), rad/sample
+    lines: dict[str, LineColumns]
+
+    def column(self, line: str | None, name: str, phase: int | None):
+        """(block positions, sample indices, values as a list) of one scalar
+        channel.
+
+        A line has no value at frames without it, nor its QSS residual at
+        frames before its window fills.
+        """
+        if line is None:
+            src, rows, ks = self, range(len(self.ks)), self.ks
+        else:
+            src = self.lines.get(line)
+            if src is None:
+                return [], [], []
+            if name == "qss_residual":
+                rows, ks = src.qss_rows, src.qss_ks
+            else:
+                rows, ks = src.rows, src.ks
+        values = getattr(src, name)
+        return rows, ks, (values if phase is None else values[:, phase]).tolist()
 
 
-def check_overcurrent(imag: np.ndarray, rating: np.ndarray) -> np.ndarray:
-    """Per-phase overcurrent flags; the rated value itself is allowed.
+def complex_power(v, i) -> tuple[np.ndarray, np.ndarray]:
+    """Per-phase active/reactive power: S_p = v_p * conj(i_p).
+
+    Separately rounded real arithmetic, so that each element is the same
+    whatever the shape of the arrays.
+    """
+    v = np.asarray(v, dtype=complex)
+    i = np.asarray(i, dtype=complex)
+    return v.real * i.real + v.imag * i.imag, v.imag * i.real - v.real * i.imag
+
+
+def check_overcurrent(imag, rating):
+    """Per-phase overcurrent flags, of arrays or of one value; the rated
+    value itself is allowed.
 
     Absent phases (no rating) never flag.
     """
@@ -136,13 +185,28 @@ _POS_SEQ = np.array([1.0, _ALPHA, _ALPHA ** 2]) / 3.0
 _SEQ_EPS = 1e-12
 
 
+def positive_sequence(V) -> np.ndarray:
+    """Positive-sequence component of each row of V (T, 3).
+
+    Separately rounded real arithmetic, like `complex_power`.
+    """
+    V = np.asarray(V, dtype=complex).reshape(-1, 3)
+    re = V.real * _POS_SEQ.real - V.imag * _POS_SEQ.imag
+    im = V.imag * _POS_SEQ.real + V.real * _POS_SEQ.imag
+    out = np.empty(len(V), dtype=complex)
+    out.real = re[:, 0] + re[:, 1] + re[:, 2]
+    out.imag = im[:, 0] + im[:, 1] + im[:, 2]
+    return out
+
+
 class FrequencyTracker:
     """Positive-sequence phase-increment frequency-drift estimator.
 
     beta_hat is the exponentially smoothed per-sample phase advance of the
     positive-sequence voltage, in rad/sample; the implied drift is
-    beta_hat / (2 pi Ts) Hz. Swappable for a fancier estimator behind the
-    same update() surface.
+    beta_hat / (2 pi Ts) Hz. A sample whose positive sequence (or its
+    predecessor's) is below 1e-12 counts as a quality drop and leaves the
+    estimate as it is.
     """
 
     def __init__(self, lambda_forget: float = 0.99):
@@ -152,24 +216,32 @@ class FrequencyTracker:
         self._prev: complex | None = None
         self._seeded = False
 
+    def track(self, vps) -> list[float]:
+        """Advance over a positive-sequence series; beta_hat after each sample."""
+        lam = self.lam
+        beta, prev, seeded, drops = self.beta_hat, self._prev, self._seeded, self.quality_drops
+        out = []
+        for vp in vps:
+            if prev is None:
+                prev = vp
+            elif abs(vp) < _SEQ_EPS or abs(prev) < _SEQ_EPS:
+                drops += 1
+                if abs(vp) >= _SEQ_EPS:
+                    prev = vp
+            else:
+                inc = cmath.phase(vp * prev.conjugate())
+                prev = vp
+                if seeded:
+                    beta = lam * beta + (1.0 - lam) * inc
+                else:
+                    beta = inc
+                    seeded = True
+            out.append(beta)
+        self.beta_hat, self._prev, self._seeded, self.quality_drops = beta, prev, seeded, drops
+        return out
+
     def update(self, v: np.ndarray) -> float:
-        vp = complex(_POS_SEQ @ v)
-        if self._prev is None:
-            self._prev = vp
-            return self.beta_hat
-        if abs(vp) < _SEQ_EPS or abs(self._prev) < _SEQ_EPS:
-            self.quality_drops += 1
-            if abs(vp) >= _SEQ_EPS:
-                self._prev = vp
-            return self.beta_hat
-        inc = float(np.angle(vp * np.conj(self._prev)))
-        self._prev = vp
-        if self._seeded:
-            self.beta_hat = self.lam * self.beta_hat + (1.0 - self.lam) * inc
-        else:
-            self.beta_hat = inc
-            self._seeded = True
-        return self.beta_hat
+        return self.track(positive_sequence(v).tolist())[-1]
 
 
 def estimate_frequency_drift(v_window, lambda_forget: float = 0.99) -> float:
@@ -177,31 +249,63 @@ def estimate_frequency_drift(v_window, lambda_forget: float = 0.99) -> float:
     if len(v_window) < 2:
         raise ValueError("need at least 2 frames")
     tr = FrequencyTracker(lambda_forget)
-    for v in v_window:
-        tr.update(np.asarray(v, dtype=complex))
+    tr.track(positive_sequence(np.asarray(v_window, dtype=complex)).tolist())
     return tr.beta_hat
 
 
 class WindowBuffer:
-    """Ring of the last M (v, i) pairs for one line."""
+    """The last M (v, i) rows of one line, carried from block to block."""
 
     def __init__(self, capacity: int):
         if capacity < 2:
             raise ValueError("window needs M >= 2")
         self.capacity = capacity
-        self._v: deque = deque(maxlen=capacity)
-        self._i: deque = deque(maxlen=capacity)
+        self._v = np.empty((0, 3), dtype=complex)
+        self._i = np.empty((0, 3), dtype=complex)
+
+    def __len__(self) -> int:
+        return len(self._v)
+
+    def extend(self, V: np.ndarray, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append rows (n, 3); returns the rows held before followed by the new ones."""
+        V = np.concatenate([self._v, V])
+        I = np.concatenate([self._i, I])
+        self._v, self._i = V[-self.capacity:].copy(), I[-self.capacity:].copy()
+        return V, I
 
     def push(self, v: np.ndarray, i: np.ndarray) -> None:
-        self._v.append(np.asarray(v, dtype=complex))
-        self._i.append(np.asarray(i, dtype=complex))
+        self.extend(np.asarray(v, dtype=complex).reshape(1, 3),
+                    np.asarray(i, dtype=complex).reshape(1, 3))
 
     @property
     def full(self) -> bool:
         return len(self._v) == self.capacity
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self._v), np.array(self._i)
+        return self._v, self._i
+
+
+def _windows(a: np.ndarray, m: int) -> np.ndarray:
+    """View (n - m + 1, c, m) of an (n, c) array: window w is a[w:w+m].T."""
+    a = np.ascontiguousarray(a)
+    s0, s1 = a.strides
+    return np.ndarray((len(a) - m + 1, a.shape[1], m), a.dtype, buffer=a, strides=(s0, s1, s0))
+
+
+def window_correlations(V: np.ndarray, I: np.ndarray, m: int) -> np.ndarray:
+    """Stacked correlations [R_iv; R_vv] (n - m + 1, 6, 3) of every m-row window.
+
+    Window w covers rows w .. w+m-1 of V and I (n, 3). R_iv = sum_r i[r]
+    v[r]^H, R_vv likewise with the bus voltage, both scaled by 1/(m-1).
+    One stacked matmul makes the same BLAS call for every window, so a
+    window's bits do not depend on how many are stacked.
+    """
+    if len(V) < m:
+        return np.empty((0, 6, 3), dtype=complex)
+    X = np.concatenate([I, V], axis=1)   # row r: i[r] then v[r]
+    R = _windows(X, m) @ _windows(np.conj(V), m).transpose(0, 2, 1)
+    R.view(float)[...] *= 1.0 / (m - 1)   # real and imaginary parts, each rounded once
+    return R
 
 
 def qss_correlations(window: WindowBuffer) -> np.ndarray | None:
@@ -212,11 +316,19 @@ def qss_correlations(window: WindowBuffer) -> np.ndarray | None:
     """
     if not window.full:
         return None
-    V, I = window.arrays()
-    scale = 1.0 / (window.capacity - 1)
-    r_iv = (I.T @ V.conj()) * scale
-    r_vv = (V.T @ V.conj()) * scale
-    return np.vstack([r_iv, r_vv])
+    return window_correlations(*window.arrays(), window.capacity)[0]
+
+
+def qss_residuals(R: np.ndarray) -> np.ndarray:
+    """`qss_residual` of each matrix in a stack (n, p, q), from one batched SVD."""
+    if len(R) == 0:
+        return np.empty(0)
+    s = np.linalg.svd(R, compute_uv=False)
+    out = np.zeros(len(R))
+    for c in range(1, s.shape[1]):
+        sq = s[:, c] * s[:, c]
+        out += sq * sq
+    return np.sqrt(out)
 
 
 def qss_residual(R: np.ndarray) -> float:
@@ -224,10 +336,7 @@ def qss_residual(R: np.ndarray) -> float:
 
     Equals sqrt(sum_{i>=2} sigma_i^4(R)); zero exactly when R is rank one.
     """
-    s = np.linalg.svd(np.asarray(R, dtype=complex), compute_uv=False)
-    if s.size <= 1:
-        return 0.0
-    return float(np.sqrt(np.sum(s[1:] ** 4)))
+    return float(qss_residuals(np.asarray(R, dtype=complex)[None])[0])
 
 
 @dataclass
@@ -260,36 +369,56 @@ class DetectorState:
                    warmup=cfg.warmup, var_floor=cfg.var_floor)
 
 
+def cusum_run(state: DetectorState, xs) -> tuple[list[bool], list[float]]:
+    """Advance the detector over a series.
+
+    Returns, per sample, whether a change was declared and |z| (0 during
+    warmup); `state.last_z` is the last sample's z.
+    """
+    nu, h, lam, warmup, floor = state.nu, state.h, state.lambda_forget, state.warmup, state.var_floor
+    mean, var, gp, gm, armed = state.mean_hat, state.var_hat, state.g_plus, state.g_minus, state.armed
+    n, w_mean, w_m2, z = state._n, state._w_mean, state._w_m2, state.last_z
+    sqrt = math.sqrt
+    changed: list[bool] = []
+    zabs: list[float] = []
+    for x in xs:
+        if not armed:
+            n += 1
+            d = x - w_mean
+            w_mean += d / n
+            w_m2 += d * (x - w_mean)
+            if n >= warmup:
+                mean = w_mean
+                var = w_m2 / max(n - 1, 1)
+                armed = True
+            z = 0.0
+            changed.append(False)
+            zabs.append(0.0)
+            continue
+        z = (x - mean) / sqrt(floor if floor > var else var)
+        g = gp + z - nu
+        gp = g if g > 0.0 else 0.0
+        g = gm - z - nu
+        gm = g if g > 0.0 else 0.0
+        var = lam * var + (1.0 - lam) * (x - mean) ** 2
+        mean = lam * mean + (1.0 - lam) * x
+        if gp > h or gm > h:
+            gp = gm = 0.0
+            mean = x
+            armed = False
+            n, w_mean, w_m2 = 1, x, 0.0
+            changed.append(True)
+        else:
+            changed.append(False)
+        zabs.append(abs(z))
+    state.mean_hat, state.var_hat, state.g_plus, state.g_minus, state.armed = mean, var, gp, gm, armed
+    state._n, state._w_mean, state._w_m2, state.last_z = n, w_mean, w_m2, z
+    return changed, zabs
+
+
 def cusum_step(state: DetectorState, x: float) -> bool:
     """Advance the detector by one sample; True when a change is declared."""
-    if not state.armed:
-        state._n += 1
-        d = x - state._w_mean
-        state._w_mean += d / state._n
-        state._w_m2 += d * (x - state._w_mean)
-        if state._n >= state.warmup:
-            state.mean_hat = state._w_mean
-            state.var_hat = state._w_m2 / max(state._n - 1, 1)
-            state.armed = True
-        state.last_z = 0.0
-        return False
-    z = (x - state.mean_hat) / math.sqrt(max(state.var_hat, state.var_floor))
-    state.last_z = z
-    state.g_plus = max(0.0, state.g_plus + z - state.nu)
-    state.g_minus = max(0.0, state.g_minus - z - state.nu)
-    lam = state.lambda_forget
-    state.var_hat = lam * state.var_hat + (1.0 - lam) * (x - state.mean_hat) ** 2
-    state.mean_hat = lam * state.mean_hat + (1.0 - lam) * x
-    if state.g_plus > state.h or state.g_minus > state.h:
-        state.g_plus = 0.0
-        state.g_minus = 0.0
-        state.mean_hat = x
-        state.armed = False
-        state._n = 1
-        state._w_mean = x
-        state._w_m2 = 0.0
-        return True
-    return False
+    return cusum_run(state, (x,))[0][0]
 
 
 def classify_trend(signal, change_index: int, window: int,
@@ -322,6 +451,7 @@ class Segment:
     start_k: int
     end_k: int | None          # None for the mid-event persistent emission
     last_k: int                # latest violation so far; equals end_k once closed
+    peak: float = 0.0          # the event's running peak value at the emission
 
 
 class EventSegmenter:
@@ -330,191 +460,255 @@ class EventSegmenter:
     An event opens at the first violation; it closes once T1 consecutive
     samples pass with no new violation (end = last violation). When the
     violation count inside one open event reaches T2 + 1, a persistent
-    emission is produced immediately and the event stays open. The state is
-    an open flag and three integers, whatever the event's length.
+    emission is produced immediately and the event stays open.
+
+    Each sample may carry a key and a value. The event's peak is the value
+    of the sample with the largest key, the first one on a tie, among the
+    event's violations, or with `span` among all its samples up to and
+    including the one that closes it. The state is an open flag, three
+    integers, the peak and its key, whatever the event's length.
     """
 
-    def __init__(self, t1: int, t2: int):
+    def __init__(self, t1: int, t2: int, span: bool = False):
         self.t1 = t1
         self.t2 = t2
+        self.span = span
         self._open = False
         self._start = 0
         self._last = 0
         self._count = 0
+        self._key = 0.0
+        self._peak = 0.0
 
     @property
     def open(self) -> bool:
         return self._open
 
-    def step(self, k: int, violated: bool) -> list[Segment]:
-        if violated:
-            if not self._open:
-                self._open = True
-                self._start = k
-                self._count = 0
-            self._count += 1
-            self._last = k
-            if self._count == self.t2 + 1:
-                return [Segment(self._start, None, k)]
-        elif self._open and k - self._last >= self.t1:
-            return [self._close()]
-        return []
+    def run(self, ks, flags, keys=None, values=None,
+            opens: list[int] | None = None) -> list[tuple[int, Segment]]:
+        """Advance over a column; (position, emission) pairs in order.
+
+        `values` default to `keys`, and keys to 0. When `opens` is given,
+        the position of every sample that opens an event is appended to it.
+        """
+        keys = repeat(0.0) if keys is None else keys
+        values = keys if values is None else values
+        t1, persist, span = self.t1, self.t2 + 1, self.span
+        is_open, start, last, count = self._open, self._start, self._last, self._count
+        best, peak = self._key, self._peak
+        out = []
+        for j, (k, violated, key, value) in enumerate(zip(ks, flags, keys, values)):
+            if violated:
+                if not is_open:
+                    is_open, start, count, best, peak = True, k, 0, key, value
+                    if opens is not None:
+                        opens.append(j)
+                elif key > best:
+                    best, peak = key, value
+                count += 1
+                last = k
+                if count == persist:
+                    out.append((j, Segment(start, None, k, peak)))
+            elif is_open:
+                if span and key > best:
+                    best, peak = key, value
+                if k - last >= t1:
+                    is_open = False
+                    out.append((j, Segment(start, last, last, peak)))
+        self._open, self._start, self._last, self._count = is_open, start, last, count
+        self._key, self._peak = best, peak
+        return out
+
+    def step(self, k: int, violated: bool, key: float = 0.0) -> list[Segment]:
+        return [s for _, s in self.run((k,), (violated,), (key,))]
 
     def flush(self) -> list[Segment]:
-        return [self._close()] if self._open else []
-
-    def _close(self) -> Segment:
+        if not self._open:
+            return []
         self._open = False
-        return Segment(self._start, self._last, self._last)
+        return [Segment(self._start, self._last, self._last, self._peak)]
 
 
 def segment_events(flags, t1: int, t2: int, start_k: int = 0):
     """Run a flag sequence through the state machine; list of (start, end|None)."""
+    flags = [bool(f) for f in flags]
     seg = EventSegmenter(t1, t2)
-    out = []
-    for k, f in enumerate(flags, start=start_k):
-        out.extend((s.start_k, s.end_k) for s in seg.step(k, bool(f)))
-    out.extend((s.start_k, s.end_k) for s in seg.flush())
-    return out
+    emitted = [s for _, s in seg.run(range(start_k, start_k + len(flags)), flags)]
+    return [(s.start_k, s.end_k) for s in emitted + seg.flush()]
+
+
+def _trend_label(pre: list[float], post: list[float], cfg: Config) -> str:
+    try:
+        return classify_trend(np.array(pre + post, dtype=float), len(pre), cfg.trend_window,
+                              cfg.slope_min, cfg.variance_ratio)
+    except ValueError:
+        return "surge" if (post and post[-1] >= (pre or [0])[-1]) else "drop"
+
+
+class _TrendLabels:
+    """Trend labels of one change channel's events.
+
+    An event's label comes from the trend_window + 1 samples before its
+    first change point and up to trend_window samples from it; a record
+    emitted before that window fills is labeled from the samples so far,
+    and that label stays. Samples are numbered from the channel's first.
+    """
+
+    def __init__(self, cfg: Config):
+        self.cfg = cfg
+        self._hist: list[float] = []   # the latest samples, at least trend_window + 1
+        self._base = 0                 # number of the sample _hist[0]
+        self._pending: tuple[list[float], int] | None = None  # (pre samples, onset number)
+        self._label: str | None = None
+
+    def advance(self, xs: list[float], opens: list[int], emits: list[int]) -> list[str]:
+        """Take a column; the label of each emission, at positions `emits`.
+
+        `opens` are the positions where events opened.
+        """
+        w = self.cfg.trend_window
+        n0 = self._base + len(self._hist)
+        self._hist += xs
+        labels = []
+        if opens or emits or self._pending is not None:
+            for j, emit in sorted([(j, False) for j in opens] + [(j, True) for j in emits]):
+                a = n0 + j
+                self._finish_filled(a)
+                if emit:
+                    labels.append(self.current(a))
+                else:
+                    pre = self._hist[max(a - (w + 1), self._base) - self._base:a - self._base]
+                    self._pending, self._label = (pre, a), None
+            self._finish_filled(self._base + len(self._hist))
+        drop = len(self._hist) - (w + 1)
+        if drop > 0:
+            del self._hist[:drop]
+            self._base += drop
+        return labels
+
+    def current(self, upto: int | None = None) -> str:
+        """The latest event's label, finished on the samples up to number `upto`
+        (default: every sample so far) if its window has not filled."""
+        if self._pending is not None:
+            self._finish(self._base + len(self._hist) - 1 if upto is None else upto)
+        return self._label
+
+    def _finish_filled(self, before: int) -> None:
+        """Finish the pending label if its window filled before sample `before`."""
+        if self._pending is not None:
+            last = self._pending[1] + self.cfg.trend_window - 1
+            if last < before:
+                self._finish(last)
+
+    def _finish(self, upto: int) -> None:
+        pre, a = self._pending
+        post = self._hist[a - self._base:upto + 1 - self._base]
+        self._label = _trend_label(pre, post, self.cfg)
+        self._pending = None
 
 
 class _Channel:
     """One scalar channel of a local rule: its segmenter and its reports.
 
-    Each subclass keeps a running severity for the open event, resets it
-    when an event opens, and builds the report in `_report`.
+    `scan` runs the channel over a column of its values. A subclass says
+    which samples violate the rule and which value, by which key, the
+    event's severity tracks, and builds the report.
     """
+    span = False
 
-    def __init__(self, bus: int, line: str | None, cfg: Config):
+    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config):
+        self.rule = rule
         self.bus = bus
         self.line = line
         self.cfg = cfg
-        self.seg = EventSegmenter(cfg.t1, cfg.t2)
+        self.seg = EventSegmenter(cfg.t1, cfg.t2, span=self.span)
+
+    def scan(self, ks: list[int], xs: list[float]) -> list[tuple[int, AnomalyReport]]:
+        flags, keys, values = self._violations(xs)
+        return [(j, self._report(s)) for j, s in self.seg.run(ks, flags, keys, values)]
 
     def flush(self) -> list[AnomalyReport]:
         return [self._report(s) for s in self.seg.flush()]
 
 
 class _VoltageChannel(_Channel):
-    """Magnitude band rule on one phase; severity is the extremal magnitude."""
+    """Magnitude band rule on one phase; severity is the event's first
+    magnitude with the largest |v - 1|."""
 
     def __init__(self, bus: int, cfg: Config):
-        super().__init__(bus, None, cfg)
-        self._ext = 1.0
+        super().__init__(VOLTAGE_MAG, bus, None, cfg)
 
-    def step(self, k: int, v: float) -> list[AnomalyReport]:
-        violated = not (self.cfg.v_normal_low < v < self.cfg.v_normal_high)
-        # keep the first sample with the largest |v - 1| of the event
-        if violated and (not self.seg.open or abs(v - 1.0) > abs(self._ext - 1.0)):
-            self._ext = v
-        return [self._report(s) for s in self.seg.step(k, violated)]
+    def _violations(self, xs):
+        lo, hi = self.cfg.v_normal_low, self.cfg.v_normal_high
+        return [not (lo < v < hi) for v in xs], [abs(v - 1.0) for v in xs], xs
 
     def _report(self, s: Segment) -> AnomalyReport:
         cfg = self.cfg
-        label, _ = classify_voltage([self._ext], cfg.t0_s, cfg.ts_s,
+        label, _ = classify_voltage([s.peak], cfg.t0_s, cfg.ts_s,
                                     cfg.v_normal_low, cfg.v_normal_high,
                                     cfg.v_interruption, cfg.v_sustained_s,
                                     tau_samples=s.last_k - s.start_k + 1)
         return AnomalyReport(rule=VOLTAGE_MAG, label=label, bus=self.bus, line=None,
-                             start_k=s.start_k, end_k=s.end_k, severity=self._ext)
+                             start_k=s.start_k, end_k=s.end_k, severity=s.peak)
 
 
 class _OvercurrentChannel(_Channel):
     """Rating rule on one phase of a line; severity is peak current / rating."""
 
     def __init__(self, bus: int, line: str, rating: float, cfg: Config):
-        super().__init__(bus, line, cfg)
+        super().__init__(OVERCURRENT, bus, line, cfg)
         self.rating = float(rating)
-        self._peak = 0.0
 
-    def step(self, k: int, i: float) -> list[AnomalyReport]:
-        violated = check_overcurrent(i, self.rating)
-        if violated and (not self.seg.open or i > self._peak):
-            self._peak = i
-        return [self._report(s) for s in self.seg.step(k, violated)]
+    def _violations(self, xs):
+        rating = self.rating
+        return [check_overcurrent(i, rating) for i in xs], xs, xs
 
     def _report(self, s: Segment) -> AnomalyReport:
         return AnomalyReport(rule=OVERCURRENT, label="overcurrent", bus=self.bus,
                              line=self.line, start_k=s.start_k, end_k=s.end_k,
-                             severity=self._peak / self.rating)
+                             severity=s.peak / self.rating)
 
 
 class _ChangeChannel(_Channel):
     """CUSUM rule on one scalar channel; severity is the event's peak |z|.
 
-    Events are labeled "transient", as the steady-state-validity rule wants;
-    `_TrendChannel` labels them from the signal around the onset instead.
+    With `trend`, events are labeled surge, drop or oscillation from the
+    signal around their first change point; without, "transient", as the
+    steady-state-validity rule wants.
     """
+    span = True
 
-    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config):
-        super().__init__(bus, line, cfg)
-        self.rule = rule
-        self.det = DetectorState.from_config(cfg)
-        self._peak_z = 0.0
-
-    def step(self, k: int, x: float) -> list[AnomalyReport]:
-        changed = cusum_step(self.det, x)
-        opened = changed and not self.seg.open
-        if opened:
-            self._peak_z = 0.0
-        if changed or self.seg.open:
-            self._peak_z = max(self._peak_z, abs(self.det.last_z))
-        self._observe(x, opened)
-        return [self._report(s) for s in self.seg.step(k, changed)]
-
-    def _observe(self, x: float, opened: bool) -> None:
-        """Sees every sample after the detector, and whether it opened an event."""
-
-    def _label(self) -> str:
-        return "transient"
-
-    def _report(self, s: Segment) -> AnomalyReport:
-        return AnomalyReport(rule=self.rule, label=self._label(), bus=self.bus,
-                             line=self.line, start_k=s.start_k, end_k=s.end_k,
-                             severity=self._peak_z)
-
-
-class _TrendChannel(_ChangeChannel):
-    """CUSUM channel with trend labeling around event onset."""
-
-    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config):
+    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config, trend: bool):
         super().__init__(rule, bus, line, cfg)
-        self.history: deque = deque(maxlen=cfg.trend_window + 1)
-        self._trend: str | None = None
-        self._post: list[float] = []
-        self._pre: list[float] = []
-        self._collecting = False
+        self.det = DetectorState.from_config(cfg)
+        self.trend = _TrendLabels(cfg) if trend else None
 
-    def _observe(self, x: float, opened: bool) -> None:
-        if opened:
-            # snapshot the signal leading into the event for trend labeling
-            self._pre = list(self.history)
-            self._post = []
-            self._collecting = True
-            self._trend = None
-        self.history.append(x)
-        if self._collecting:
-            self._post.append(x)
-            if len(self._post) >= self.cfg.trend_window:
-                self._finish_label()
+    def scan(self, ks, xs):
+        changed, zabs = cusum_run(self.det, xs)
+        opens: list[int] = []
+        emitted = self.seg.run(ks, changed, zabs, opens=opens)
+        if self.trend is None:
+            labels = ["transient"] * len(emitted)
+        else:
+            labels = self.trend.advance(xs, opens, [j for j, _ in emitted])
+        return [(j, self._report(s, label)) for (j, s), label in zip(emitted, labels)]
 
-    def _label(self) -> str:
-        if self._collecting:
-            self._finish_label()
-        return self._trend
+    def flush(self) -> list[AnomalyReport]:
+        return [self._report(s, "transient" if self.trend is None else self.trend.current())
+                for s in self.seg.flush()]
 
-    def _finish_label(self) -> None:
-        sig = np.array(self._pre + self._post, dtype=float)
-        try:
-            self._trend = classify_trend(sig, len(self._pre), self.cfg.trend_window,
-                                         self.cfg.slope_min, self.cfg.variance_ratio)
-        except ValueError:
-            self._trend = "surge" if (self._post and self._post[-1] >= (self._pre or [0])[-1]) else "drop"
-        self._collecting = False
+    def _report(self, s: Segment, label: str) -> AnomalyReport:
+        return AnomalyReport(rule=self.rule, label=label, bus=self.bus, line=self.line,
+                             start_k=s.start_k, end_k=s.end_k, severity=s.peak)
 
 
 class LocalEngine:
-    """Runs all local rules over one sensor's stream; grid-agnostic."""
+    """Runs all local rules over one sensor's stream; grid-agnostic.
+
+    `run` takes the stream in blocks of any length and `step` one frame at
+    a time, as a block of one; the reports do not depend on where the
+    stream is cut.
+    """
 
     def __init__(self, bus: int, line_ratings: dict[str, np.ndarray],
                  cfg: Config | None = None):
@@ -522,49 +716,76 @@ class LocalEngine:
         self.cfg = cfg = cfg or Config()
         self.freq = FrequencyTracker(cfg.lambda_forget)
         self.windows = {lid: WindowBuffer(cfg.m) for lid in line_ratings}
-        # (line or None, DerivedSample field, phase or None, channel) in
-        # report order; a line's channel skips frames where its field has no
-        # value for the line (line absent, or QSS window not yet full)
+        # (line or None, derived quantity, phase or None, channel) in report order
         chans: list[tuple[str | None, str, int | None, _Channel]] = [
             (None, "vmag", ph, _VoltageChannel(bus, cfg)) for ph in range(3)]
         for lid, rating in line_ratings.items():
             chans += [(lid, "imag", ph, _OvercurrentChannel(bus, lid, rating[ph], cfg))
                       for ph in range(3)]
-            for rule, fld in ((ACTIVE_POWER, "p"), (REACTIVE_POWER, "q"),
-                              (CURRENT_MAG, "imag")):
-                chans += [(lid, fld, ph, _TrendChannel(rule, bus, lid, cfg))
+            for rule, name in ((ACTIVE_POWER, "p"), (REACTIVE_POWER, "q"),
+                               (CURRENT_MAG, "imag")):
+                chans += [(lid, name, ph, _ChangeChannel(rule, bus, lid, cfg, trend=True))
                           for ph in range(3)]
             chans.append((lid, "qss_residual", None,
-                          _ChangeChannel(QSS_VALIDITY, bus, lid, cfg)))
-        chans.append((None, "beta_hat", None, _TrendChannel(FREQUENCY, bus, None, cfg)))
+                          _ChangeChannel(QSS_VALIDITY, bus, lid, cfg, trend=False)))
+        chans.append((None, "beta_hat", None,
+                      _ChangeChannel(FREQUENCY, bus, None, cfg, trend=True)))
         self._channels = chans
 
-    def derive(self, frame: PhasorFrame) -> DerivedSample:
-        vmag = np.abs(frame.v)
-        imag, p, q, resid = {}, {}, {}, {}
-        beta = self.freq.update(frame.v)
-        for lid, i in frame.i_lines.items():
-            imag[lid] = np.abs(i)
-            p[lid], q[lid] = complex_power(frame.v, i)
-            w = self.windows.get(lid)
-            if w is not None:
-                w.push(frame.v, i)
-                R = qss_correlations(w)
-                resid[lid] = qss_residual(R) if R is not None else None
-        return DerivedSample(k=frame.k, vmag=vmag, imag=imag, p=p, q=q,
-                             beta_hat=beta, qss_residual=resid)
+    def derive(self, frames: list[PhasorFrame]) -> DerivedBlock:
+        """Derived columns of a block of frames.
+
+        Advances the frequency tracker and the QSS windows, so each frame
+        is derived once, in stream order.
+        """
+        n = len(frames)
+        V = np.array([f.v for f in frames], dtype=complex).reshape(n, 3)
+        beta = np.array(self.freq.track(positive_sequence(V).tolist()))
+        by_line: dict[str, tuple[list[int], list]] = {}
+        for j, f in enumerate(frames):
+            for lid, i in f.i_lines.items():
+                rows, cur = by_line.setdefault(lid, ([], []))
+                rows.append(j)
+                cur.append(i)
+        ks = [f.k for f in frames]
+        lines = {lid: self._derive_line(lid, V, ks, rows, cur)
+                 for lid, (rows, cur) in by_line.items()}
+        return DerivedBlock(ks=ks, vmag=np.abs(V), beta_hat=beta, lines=lines)
+
+    def _derive_line(self, lid: str, V: np.ndarray, ks: list[int], rows: list[int],
+                     cur: list) -> LineColumns:
+        I = np.array(cur, dtype=complex).reshape(len(rows), 3)
+        if len(rows) < len(V):
+            V = V[rows]
+            ks = [ks[j] for j in rows]
+        p, q = complex_power(V, I)
+        resid = np.empty(0)
+        w = self.windows.get(lid)
+        if w is not None:
+            # windows ending at the new rows only: skip rows already ended on
+            skip = max(0, len(w) - (w.capacity - 1))
+            Vx, Ix = w.extend(V, I)
+            resid = qss_residuals(window_correlations(Vx[skip:], Ix[skip:], w.capacity))
+        full = len(rows) - len(resid)
+        return LineColumns(rows=rows, ks=ks, imag=np.abs(I), p=p, q=q,
+                           qss_rows=rows[full:], qss_ks=ks[full:], qss_residual=resid)
+
+    def run(self, frames: list[PhasorFrame]) -> list[AnomalyReport]:
+        """Advance over a block of frames; their reports in the order that
+        feeding the frames to `step` one by one emits them."""
+        if not frames:
+            return []
+        d = self.derive(frames)
+        found = []
+        for ci, (lid, name, ph, chan) in enumerate(self._channels):
+            rows, ks, xs = d.column(lid, name, ph)
+            if ks:
+                found += [(rows[j], ci, r) for j, r in chan.scan(ks, xs)]
+        found.sort(key=lambda t: t[:2])
+        return [r for *_, r in found]
 
     def step(self, frame: PhasorFrame) -> list[AnomalyReport]:
-        d = self.derive(frame)
-        out: list[AnomalyReport] = []
-        for lid, fld, ph, chan in self._channels:
-            x = getattr(d, fld)
-            if lid is not None:
-                x = x.get(lid)
-                if x is None:
-                    continue
-            out.extend(chan.step(frame.k, x if ph is None else float(x[ph])))
-        return out
+        return self.run([frame])
 
     def finish(self) -> list[AnomalyReport]:
         return [r for *_, chan in self._channels for r in chan.flush()]

@@ -148,11 +148,10 @@ class CentralChangeTracker:
         self.model = model
         self.cfg = cfg = cfg or Config()
         self.det = DetectorState.from_config(cfg)
-        self.seg = EventSegmenter(cfg.t1, cfg.t2)
+        self.seg = EventSegmenter(cfg.t1, cfg.t2, span=True)
         self.gaps = 0
         self.skipped = 0
         self.xs: list[tuple[int, float]] = []
-        self._peak = 0.0
         self._change_ks: list[int] = []
 
     def step(self, sample: FusedSample) -> list[CentralChangeRecord]:
@@ -168,19 +167,17 @@ class CentralChangeTracker:
         changed = cusum_step(self.det, x)
         if changed:
             if not self.seg.open:
-                self._peak = 0.0
                 self._change_ks = []
             self._change_ks.append(sample.k)
-        if changed or self.seg.open:
-            self._peak = max(self._peak, abs(self.det.last_z))
-        return [self._record(s) for s in self.seg.step(sample.k, changed)]
+        return [self._record(s)
+                for s in self.seg.step(sample.k, changed, abs(self.det.last_z))]
 
     def finish(self) -> list[CentralChangeRecord]:
         return [self._record(s) for s in self.seg.flush()]
 
     def _record(self, seg) -> CentralChangeRecord:
         return CentralChangeRecord(start_k=seg.start_k, end_k=seg.end_k,
-                                   change_ks=tuple(self._change_ks), severity=self._peak)
+                                   change_ks=tuple(self._change_ks), severity=seg.peak)
 
 
 @dataclass(frozen=True)

@@ -145,18 +145,23 @@ def cmd_analyze(args) -> int:
 
 def _write_derived(outdir: Path, feeder, buses, streams, cfg) -> None:
     from .analytics import LocalEngine
-    from .pipeline import line_ratings_at
+    from .pipeline import blocks, line_ratings_at
     for bus in buses:
         eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
         rows = ["k,line,vmag_a,vmag_b,vmag_c,p_a,q_a,imag_a,beta_hat,qss_residual"]
-        for f in streams[bus]:
-            d = eng.derive(f)
-            for lid in sorted(d.imag):
-                r = d.qss_residual.get(lid)
-                rows.append(f"{f.k},{lid},{float(d.vmag[0])!r},{float(d.vmag[1])!r},"
-                            f"{float(d.vmag[2])!r},{float(d.p[lid][0])!r},"
-                            f"{float(d.q[lid][0])!r},{float(d.imag[lid][0])!r},"
-                            f"{d.beta_hat!r},{'' if r is None else repr(float(r))}")
+        for block in blocks(streams[bus]):
+            d = eng.derive(block)
+            vmag, beta = d.vmag.tolist(), d.beta_hat.tolist()
+            lines = []
+            for lid, c in d.lines.items():
+                resid = dict(zip(c.qss_rows, c.qss_residual.tolist()))
+                for j, k, p, q, imag in zip(c.rows, c.ks, c.p[:, 0].tolist(),
+                                            c.q[:, 0].tolist(), c.imag[:, 0].tolist()):
+                    r = resid.get(j)
+                    lines.append((j, lid, f"{k},{lid},{vmag[j][0]!r},{vmag[j][1]!r},"
+                                          f"{vmag[j][2]!r},{p!r},{q!r},{imag!r},{beta[j]!r},"
+                                          f"{'' if r is None else repr(r)}"))
+            rows += [text for *_, text in sorted(lines)]
         (outdir / f"derived_bus{bus}.csv").write_text("\n".join(rows) + "\n")
 
 

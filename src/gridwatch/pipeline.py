@@ -3,9 +3,13 @@
 The CLI `analyze` path runs this. The networked processes in
 `transport.py` do not call `run_offline`; they run the same local engine
 per sensor and the same central tracker, and they group frames by sample
-index k the same way: a sensor missing at k counts as a gap in both. That
-shared grouping is what keeps the two event logs byte-identical on the
-same inputs.
+index k the same way: a sensor missing at k counts as a gap in both.
+
+Offline, each local engine takes its stream in blocks of `BLOCK_FRAMES`
+frames (`LocalEngine.run`); `serve-local` runs the same kernels one frame
+at a time (`LocalEngine.step`, a block of one). A local engine's reports
+do not depend on where its stream is cut, and that together with the
+shared grouping keeps the two event logs byte-identical on the same inputs.
 """
 from __future__ import annotations
 
@@ -16,6 +20,10 @@ from .central import (CentralChangeRecord, CentralChangeTracker, EventLog,
                       build_central_model, fuse_frames, fuse_reports)
 from .config import Config
 from .model import FeederModel, Placement, build_system, partition
+
+# frames per LocalEngine.run call: enough to amortise the per-call work,
+# few enough that the derived columns of a block stay small
+BLOCK_FRAMES = 1024
 
 
 @dataclass
@@ -32,12 +40,17 @@ def line_ratings_at(feeder: FeederModel, bus: int) -> dict:
     return {l.id: l.rated_current for l in feeder.lines_at(bus)}
 
 
+def blocks(frames: list[PhasorFrame]):
+    """The stream cut into consecutive blocks of at most BLOCK_FRAMES frames."""
+    return (frames[s:s + BLOCK_FRAMES] for s in range(0, len(frames), BLOCK_FRAMES))
+
+
 def run_local_engine(feeder: FeederModel, bus: int, frames: list[PhasorFrame],
                      cfg: Config | None = None) -> list[AnomalyReport]:
     eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
     reports: list[AnomalyReport] = []
-    for f in frames:
-        reports.extend(eng.step(f))
+    for block in blocks(frames):
+        reports.extend(eng.run(block))
     reports.extend(eng.finish())
     return reports
 

@@ -12,6 +12,7 @@ which makes the generator and the model module mutual oracles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -449,7 +450,11 @@ def write_stream_csv(path: str | Path, frames: list[PhasorFrame],
 
 
 def read_stream_csv(path: str | Path) -> tuple[list[PhasorFrame], int]:
-    """Frames from a stream CSV; returns (frames, skipped_row_count)."""
+    """Frames from a stream CSV; returns (frames, skipped_row_count).
+
+    A row is malformed, and skipped, when it does not have 15 fields, its
+    k or one of its 12 phasor parts does not parse, or a part is not finite.
+    """
     frames: dict[int, dict] = {}
     skipped = 0
     bus = _bus_from_name(Path(path))
@@ -464,16 +469,18 @@ def read_stream_csv(path: str | Path) -> tuple[list[PhasorFrame], int]:
                 continue
             try:
                 k = int(parts[0])
-                v = np.array([complex(float(parts[2 + 2 * p]), float(parts[3 + 2 * p]))
-                              for p in range(3)])
-                lid = parts[8]
-                i = np.array([complex(float(parts[9 + 2 * p]), float(parts[10 + 2 * p]))
-                              for p in range(3)])
+                x = [float(t) for t in parts[2:8] + parts[9:15]]
             except ValueError:
                 skipped += 1
                 continue
+            # a finite sum means finite parts; only an infinite one needs a closer look
+            if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
+                skipped += 1
+                continue
+            v = np.array([complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5])])
+            i = np.array([complex(x[6], x[7]), complex(x[8], x[9]), complex(x[10], x[11])])
             slot = frames.setdefault(k, {"v": v, "i": {}})
-            slot["i"][lid] = i
+            slot["i"][parts[8]] = i
     out = [PhasorFrame(k=k, bus=bus, v=slot["v"], i_lines=slot["i"])
            for k, slot in sorted(frames.items())]
     return out, skipped

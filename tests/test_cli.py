@@ -62,20 +62,30 @@ def test_analyze_deterministic_bytes(tmp_path):
     assert (a / "central_x.csv").read_bytes() == (b / "central_x.csv").read_bytes()
 
 
-def _quiet_streams_with_bad_row(tmp_path):
+def _quiet_streams_with_bad_row(tmp_path, v_a_re="not_a_number"):
     """quiet scenario streams whose bus7.csv has one malformed row at k=100."""
     streams = tmp_path / "streams"
     main(["simulate", "--scenario", "quiet", "--out", str(streams)])
     path = streams / "bus7.csv"
     lines = path.read_text().splitlines()
     i = next(n for n, ln in enumerate(lines) if ln.startswith("100,"))
-    lines[i] = lines[i].replace(lines[i].split(",")[2], "not_a_number", 1)
+    lines[i] = lines[i].replace(lines[i].split(",")[2], v_a_re, 1)
     path.write_text("\n".join(lines) + "\n")
     return streams, path
 
 
 def test_analyze_warns_on_malformed_rows(tmp_path, capsys):
     streams, bad = _quiet_streams_with_bad_row(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["analyze", "--streams", str(streams), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: skipped 1 malformed row(s) in {bad}\n"
+    assert captured.out.startswith("0 log entries, 0 incident(s), 0 gap(s); wrote ")
+
+
+def test_analyze_skips_non_finite_rows(tmp_path, capsys):
+    streams, bad = _quiet_streams_with_bad_row(tmp_path, v_a_re="nan")
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["analyze", "--streams", str(streams), "--out", str(out)]) == 0
