@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,8 @@ SMALLEST_SINGULAR = "smallest_singular"
 NULL_PROJECTOR = "null_projector"
 
 _PHASE_EPS = 1e-12
+_ZERO3 = np.zeros(3, dtype=complex)
+_ZERO3.flags.writeable = False
 
 
 def phase_normalize(u: np.ndarray) -> np.ndarray:
@@ -62,6 +65,10 @@ class CentralModel:
     def sensor_buses(self) -> tuple[int, ...]:
         return self.partition.placement.sensor_buses
 
+    @cached_property
+    def u_conj(self) -> np.ndarray:
+        return np.conj(self.u_us)
+
 
 def build_central_model(partition: PartitionedSystem) -> CentralModel:
     h_u = partition.H_u
@@ -85,7 +92,7 @@ def central_metric(model: CentralModel, d_a: np.ndarray) -> float:
     if denom <= 0.0:
         raise ValueError("zero measurement vector")
     if model.mode == SMALLEST_SINGULAR:
-        y = complex(np.conj(model.u_us) @ (model.partition.H_a @ d_a))
+        y = complex(model.u_conj @ (model.partition.H_a @ d_a))
         return float(abs(y) ** 2 / denom)
     r = model.null_projector @ (model.partition.H_a @ d_a)
     return float(np.vdot(r, r).real / denom)
@@ -102,22 +109,25 @@ def fuse_frames(model: CentralModel, frames: dict[int, "PhasorFrame"], k: int) -
     """Stack per-sensor frames into d_a = (injections, voltages) at sample k.
 
     The net current injection of a sensed bus is the sum of its incident
-    line currents; ordering matches the partition's column maps.
+    line currents, added in order onto zero; ordering matches the
+    partition's column maps. A missing sensor contributes zeros.
     """
     buses = model.sensor_buses
-    present = tuple(b in frames for b in buses)
-    cur = np.zeros(3 * len(buses), dtype=complex)
-    vol = np.zeros(3 * len(buses), dtype=complex)
-    for j, b in enumerate(buses):
+    cur = []
+    vol = []
+    for b in buses:
         f = frames.get(b)
         if f is None:
+            cur.append(_ZERO3)
+            vol.append(_ZERO3)
             continue
-        inj = np.zeros(3, dtype=complex)
+        inj = _ZERO3
         for i in f.i_lines.values():
-            inj += i
-        cur[3 * j:3 * j + 3] = inj
-        vol[3 * j:3 * j + 3] = f.v
-    return FusedSample(k=k, d_a=np.concatenate([cur, vol]), completeness=present)
+            inj = inj + i
+        cur.append(inj)
+        vol.append(f.v)
+    return FusedSample(k=k, d_a=np.concatenate(cur + vol),
+                       completeness=tuple(b in frames for b in buses))
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,7 @@ def cmd_serve_central(args) -> int:
                      if b not in result.sessions or not result.sessions[b].done)
     lost = {"stale_releases": result.stale_releases, "late": result.late,
             "central_gaps": result.gaps, "skipped": result.skipped,
-            "unfinished": unfinished}
+            "unfinished": unfinished, "protocol_errors": result.protocol_errors}
     if any(lost.values()):
         print("warning: central fusion incomplete: "
               + " ".join(f"{k}={v}" for k, v in lost.items()), file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import selectors
 import socket
 import struct
 import threading
@@ -38,7 +39,7 @@ class ProtocolError(Exception):
 
 
 class TruncatedError(ProtocolError):
-    pass
+    """The input ends before the message does; more bytes may complete it."""
 
 
 class VersionError(ProtocolError):
@@ -164,16 +165,21 @@ class FrameAligner:
         return out
 
 
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_HEAD = struct.Struct("<BBIQ")   # version, kind, sensor, k
+_HEAD_LEN = _HEAD.size
+
+
 def _pack_c3(vec: np.ndarray) -> bytes:
     return struct.pack("<6d", *(x for c in vec for x in (c.real, c.imag)))
 
 
-def _unpack_c3(buf: bytes, off: int) -> tuple[np.ndarray, int]:
-    if off + 48 > len(buf):
-        raise TruncatedError("complex triple runs past end")
-    vals = struct.unpack_from("<6d", buf, off)
-    return np.array([complex(vals[0], vals[1]), complex(vals[2], vals[3]),
-                     complex(vals[4], vals[5])]), off + 48
+def _c3(body: bytes, off: int) -> np.ndarray:
+    """Read-only view of the complex triple at off: the same bits _pack_c3 wrote."""
+    if off + 48 > len(body):
+        raise MalformedError("complex triple runs past end")
+    return np.frombuffer(body, "<c16", 3, off)
 
 
 def _frame_payload(f: PhasorFrame) -> bytes:
@@ -188,27 +194,29 @@ def _frame_payload(f: PhasorFrame) -> bytes:
     return b"".join(out)
 
 
-def _parse_frame_payload(buf: bytes, sensor: int, k: int) -> PhasorFrame:
-    if len(buf) < 49:
-        raise TruncatedError("frame payload too short")
-    n = buf[0]
-    v, off = _unpack_c3(buf, 1)
+def _parse_frame_payload(body: bytes, off: int, sensor: int, k: int) -> PhasorFrame:
+    end = len(body)
+    if end - off < 49:
+        raise MalformedError("frame payload too short")
+    n = body[off]
+    v = _c3(body, off + 1)
+    off += 49
     i_lines = {}
     for _ in range(n):
-        if off + 2 > len(buf):
-            raise TruncatedError("line id length runs past end")
-        (ln,) = struct.unpack_from("<H", buf, off)
+        if off + 2 > end:
+            raise MalformedError("line id length runs past end")
+        (ln,) = _U16.unpack_from(body, off)
         off += 2
-        if off + ln > len(buf):
-            raise TruncatedError("line id runs past end")
+        if off + ln > end:
+            raise MalformedError("line id runs past end")
         try:
-            lid = buf[off:off + ln].decode()
+            lid = body[off:off + ln].decode()
         except UnicodeDecodeError as e:
             raise MalformedError(f"line id not UTF-8: {e}")
         off += ln
-        i, off = _unpack_c3(buf, off)
-        i_lines[lid] = i
-    if off != len(buf):
+        i_lines[lid] = _c3(body, off)
+        off += 48
+    if off != end:
         raise MalformedError("trailing bytes in frame payload")
     return PhasorFrame(k=k, bus=sensor, v=v, i_lines=i_lines)
 
@@ -218,14 +226,15 @@ def _json_payload(obj: dict) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _parse_json_payload(buf: bytes) -> dict:
-    if len(buf) < 4:
-        raise TruncatedError("json length missing")
-    (ln,) = struct.unpack_from("<I", buf, 0)
-    if ln > MAX_BODY or 4 + ln != len(buf):
+def _parse_json_payload(body: bytes, off: int) -> dict:
+    if len(body) - off < 4:
+        raise MalformedError("json length missing")
+    (ln,) = _U32.unpack_from(body, off)
+    off += 4
+    if ln > MAX_BODY or off + ln != len(body):
         raise MalformedError("json length mismatch")
     try:
-        obj = json.loads(buf[4:4 + ln].decode())
+        obj = json.loads(body[off:].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedError(f"bad json payload: {e}")
     if not isinstance(obj, dict):
@@ -247,20 +256,23 @@ def encode(m: Message) -> bytes:
         payload = _json_payload(m.info or {})
     else:
         payload = b""
-    body = struct.pack("<BBIQ", m.version, m.kind, m.sensor, m.k) + payload
+    body = _HEAD.pack(m.version, m.kind, m.sensor, m.k) + payload
     return struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
 
 
-def decode(buf: bytes, offset: int = 0) -> tuple[Message, int]:
+def decode(buf: bytes | bytearray, offset: int = 0) -> tuple[Message, int]:
     """Parse one message starting at offset; returns (message, next offset).
 
-    Every failure raises a ProtocolError subtype; no other exception
-    escapes for arbitrary input bytes.
+    `buf` may be any bytes-like object; the message body is copied out of it
+    once, and the decoded frame's arrays are read-only views of that copy.
+    TruncatedError means `buf` ends before the message does. Every failure
+    raises a ProtocolError subtype; no other exception escapes for arbitrary
+    input bytes.
     """
     if len(buf) - offset < 4:
         raise TruncatedError("length prefix missing")
-    (body_len,) = struct.unpack_from("<I", buf, offset)
-    if body_len < 14:
+    (body_len,) = _U32.unpack_from(buf, offset)
+    if body_len < _HEAD_LEN:
         raise MalformedError(f"body too short ({body_len})")
     if body_len > MAX_BODY:
         raise MalformedError(f"body too large ({body_len})")
@@ -268,55 +280,62 @@ def decode(buf: bytes, offset: int = 0) -> tuple[Message, int]:
     end = start + body_len
     if end + 4 > len(buf):
         raise TruncatedError("body or checksum missing")
-    body = buf[start:end]
-    (crc,) = struct.unpack_from("<I", buf, end)
+    body = bytes(buf[start:end])
+    (crc,) = _U32.unpack_from(buf, end)
     if crc != zlib.crc32(body):
         raise ChecksumError("crc mismatch")
-    version, kind, sensor, k = struct.unpack_from("<BBIQ", body, 0)
+    version, kind, sensor, k = _HEAD.unpack_from(body, 0)
     if version != VERSION:
         raise VersionError(f"version {version} != {VERSION}")
     if kind not in _KIND_NAMES:
         raise MalformedError(f"unknown kind {kind}")
-    payload = body[14:]
     frame = report = info = None
     if kind == FRAME:
-        frame = _parse_frame_payload(payload, sensor, k)
+        frame = _parse_frame_payload(body, _HEAD_LEN, sensor, k)
     elif kind == REPORT:
-        d = _parse_json_payload(payload)
+        d = _parse_json_payload(body, _HEAD_LEN)
         try:
             report = AnomalyReport.from_dict(d)
         except (KeyError, TypeError, ValueError) as e:
             raise MalformedError(f"bad report: {e}")
     elif kind in (HELLO, BYE):
-        info = _parse_json_payload(payload)
-    elif payload:
+        info = _parse_json_payload(body, _HEAD_LEN)
+    elif body_len > _HEAD_LEN:
         raise MalformedError("unexpected payload")
     return Message(kind=kind, sensor=sensor, k=k, frame=frame,
                    report=report, info=info), end + 4
 
 
 class MessageStream:
-    """Incremental reader over a socket."""
+    """Incremental decoder over the bytes of one session.
 
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._buf = b""
+    `feed` appends bytes as they arrive and `read` returns the next complete
+    message. Consumed bytes are dropped once per fed chunk, not once per
+    message.
+    """
+
+    def __init__(self):
+        self._buf = bytearray()
+        self._off = 0
+
+    def feed(self, chunk: bytes) -> None:
+        del self._buf[:self._off]
+        self._off = 0
+        self._buf += chunk
 
     def read(self) -> Message | None:
-        """Next message, or None on clean EOF."""
-        while True:
-            try:
-                msg, consumed = decode(self._buf)
-            except TruncatedError:
-                chunk = self._sock.recv(65536)
-                if not chunk:
-                    if self._buf:
-                        raise
-                    return None
-                self._buf += chunk
-                continue
-            self._buf = self._buf[consumed:]
-            return msg
+        """Next complete message, or None when no complete message is buffered."""
+        try:
+            msg, self._off = decode(self._buf, self._off)
+        except TruncatedError:
+            return None
+        return msg
+
+    def end(self) -> None:
+        """The peer closed the session: raise TruncatedError if that cut a message."""
+        if self._off < len(self._buf):
+            raise TruncatedError(f"session ended inside a message "
+                                 f"({len(self._buf) - self._off} bytes)")
 
 
 def pace(frames, rate_multiplier: float = 0.0, sample_rate: float = 120.0):
@@ -379,26 +398,24 @@ def serve_local(frames, sensor: int, central_addr: tuple[str, int],
         frame_q.clear()
 
     def drain() -> bool:
-        """Send all queued bytes, reports first; False if the link died."""
+        """Send all queued bytes in one write, reports first; False if the
+        link died, in which case everything stays queued."""
         nonlocal sock
         if sock is None:
             return False
         try:
-            while report_q:
-                sock.sendall(report_q[0])
-                report_q.pop(0)
-                stats.reports_sent += 1
-            while frame_q:
-                sock.sendall(frame_q[0])
-                frame_q.pop(0)
-                stats.frames_sent += 1
-            return True
+            sock.sendall(b"".join(report_q + frame_q))
         except OSError:
             try:
                 sock.close()
             finally:
                 sock = None
             return False
+        stats.reports_sent += len(report_q)
+        stats.frames_sent += len(frame_q)
+        report_q.clear()
+        frame_q.clear()
+        return True
 
     def replay_spool() -> bool:
         nonlocal sock
@@ -458,10 +475,18 @@ class CentralResult:
     xs: list[tuple[int, float]]
     sessions: dict[int, SessionState] = field(default_factory=dict)
     rejected: int = 0
+    protocol_errors: int = 0  # sessions ended by a message that failed to decode
     stale_releases: int = 0   # samples fused with a sensor missing
     late: int = 0             # frames for an already fused sample, dropped
     gaps: int = 0             # incomplete samples the tracker skipped
     skipped: int = 0          # samples with a zero measurement vector
+
+
+@dataclass
+class _Link:
+    """One accepted connection: its decoder and, once admitted, its sensor."""
+    stream: MessageStream = field(default_factory=MessageStream)
+    sensor: int | None = None
 
 
 def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
@@ -470,12 +495,16 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                   timeout_s: float = 60.0) -> CentralResult:
     """Accept one session per sensor, fuse frames by k, run the central rule.
 
-    Returns once every expected sensor has said Bye (or the timeout hits);
-    a sensor whose session ends by EOF, a reset or a protocol error is
-    still expected back. Unknown sensors are rejected; duplicate k keeps
-    the first frame. A session that ends in any of these ways stops
-    holding samples back; samples still pending at the timeout are
-    released as they are.
+    One thread does all the work. A selector watches the listening socket
+    and every session; a readable session gets one recv, and every complete
+    message in its buffer is handled before the next select, so samples are
+    fused as soon as the watermark releases them. Returns as soon as every
+    expected sensor's last session has ended with Bye, or at the timeout; a
+    sensor whose session ends by EOF, a reset or a protocol error is still
+    expected back. Unknown sensors, and a second live session of one sensor,
+    are rejected; duplicate k keeps the first frame. A session that ends in
+    any of these ways stops holding samples back; samples still pending at
+    the timeout are released as they are.
     """
     cfg = cfg or Config()
     expected = set(placement.sensor_buses)
@@ -485,84 +514,111 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
     sessions: dict[int, SessionState] = {}
     reports: list[tuple[str, AnomalyReport]] = []
     records = []
-    lock = threading.Lock()   # sequencer: owns aligner, tracker, reports
-    done = threading.Event()
-    rejected = [0]
+    rejected = protocol_errors = 0
+    finished = False
 
     def step(released):
         for k, frames in released:
             records.extend(tracker.step(fuse_frames(model, frames, k)))
 
-    def handle(conn: socket.socket):
-        stream = MessageStream(conn)
-        sensor = None
-        bye = False
+    def admit(link: _Link, hello: Message) -> bool:
+        """Bind the session to the Hello's sensor; False to reject it."""
+        if hello.kind != HELLO or hello.sensor not in expected:
+            return False
+        state = sessions.get(hello.sensor)
+        if state is not None and state.connected:
+            return False
+        if state is None:
+            state = sessions[hello.sensor] = SessionState(sensor=hello.sensor)
+        state.connected = True
+        state.done = False
+        link.sensor = hello.sensor
+        return True
+
+    def close(conn: socket.socket, link: _Link, bye: bool = False) -> None:
+        nonlocal finished
+        sel.unregister(conn)
+        conn.close()
+        if link.sensor is not None:
+            state = sessions[link.sensor]
+            state.connected = False
+            state.done = bye
+            step(aligner.end(link.sensor))
+            finished = (len(sessions) == len(expected)
+                        and all(s.done for s in sessions.values()))
+
+    def accept() -> None:
         try:
-            hello = stream.read()
-            if hello is None or hello.kind != HELLO or hello.sensor not in expected:
-                rejected[0] += 1
+            conn, _ = server.accept()
+        except BlockingIOError:
+            return                    # nothing pending: the peer gave up first
+        except OSError:
+            sel.unregister(server)    # the listener broke: serve the sessions we have
+            return
+        sel.register(conn, selectors.EVENT_READ, _Link())
+
+    def receive(conn: socket.socket, link: _Link) -> None:
+        nonlocal rejected, protocol_errors
+        try:
+            chunk = conn.recv(65536)
+        except OSError:
+            close(conn, link)
+            return
+        stream = link.stream
+        try:
+            if not chunk:
+                stream.end()
+                if link.sensor is None:
+                    rejected += 1
+                close(conn, link)
                 return
-            with lock:
-                if hello.sensor in sessions and sessions[hello.sensor].connected:
-                    rejected[0] += 1
-                    return
-                sensor = hello.sensor
-                state = sessions.setdefault(sensor, SessionState(sensor=sensor))
-                state.connected = True
-                state.done = False
-            while True:
-                msg = stream.read()
-                if msg is None:
-                    break
-                if msg.kind == FRAME:
-                    with lock:
-                        if sessions[sensor].observe(msg.k):
-                            step(aligner.push(sensor, msg.frame))
+            stream.feed(chunk)
+            while (msg := stream.read()) is not None:
+                if link.sensor is None:
+                    if not admit(link, msg):
+                        rejected += 1
+                        close(conn, link)
+                        return
+                elif msg.kind == FRAME:
+                    if sessions[link.sensor].observe(msg.k):
+                        step(aligner.push(link.sensor, msg.frame))
                 elif msg.kind == REPORT:
-                    with lock:
-                        reports.append((str(sensor), msg.report))
+                    reports.append((str(link.sensor), msg.report))
                 elif msg.kind == BYE:
-                    bye = True
+                    close(conn, link, bye=True)
+                    return
+        except ProtocolError:
+            protocol_errors += 1
+            close(conn, link)
+
+    with socket.create_server(listen_addr) as server, selectors.DefaultSelector() as sel:
+        server.setblocking(False)
+        sel.register(server, selectors.EVENT_READ)
+        if ready is not None:
+            ready.set()
+        deadline = time.monotonic() + timeout_s
+        try:
+            while not finished:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
                     break
-        except (ProtocolError, OSError):
-            pass  # the session is over either way
+                for key, _ in sel.select(wait):
+                    if key.data is None:
+                        accept()
+                    else:
+                        receive(key.fileobj, key.data)
+                    if finished:
+                        break
         finally:
-            with lock:
-                if sensor is not None:
-                    sessions[sensor].connected = False
-                    sessions[sensor].done = bye
-                    step(aligner.end(sensor))
-                if set(sessions) == expected and all(s.done for s in sessions.values()):
-                    done.set()
-            conn.close()
+            for key in sel.get_map().values():
+                key.fileobj.close()
 
-    server = socket.create_server(listen_addr)
-    server.settimeout(0.2)
-
-    def acceptor():
-        while not done.is_set():
-            try:
-                conn, _ = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            threading.Thread(target=handle, args=(conn,), daemon=True).start()
-
-    t = threading.Thread(target=acceptor, daemon=True)
-    t.start()
-    if ready is not None:
-        ready.set()
-    done.wait(timeout=timeout_s)
-    server.close()
-    t.join(timeout=2.0)
-
-    with lock:
-        step(aligner.flush())
-        records.extend(tracker.finish())
+    step(aligner.flush())
+    records.extend(tracker.finish())
     reports.sort(key=lambda p: (p[0], p[1].rule, p[1].bus, p[1].line or "",
                                 p[1].start_k, p[1].end_k if p[1].end_k is not None else -1))
     log = fuse_reports(reports, records)
     return CentralResult(event_log=log, xs=tracker.xs, sessions=sessions,
-                         rejected=rejected[0], stale_releases=aligner.stale_releases,
+                         rejected=rejected, protocol_errors=protocol_errors,
+                         stale_releases=aligner.stale_releases,
                          late=aligner.late, gaps=tracker.gaps, skipped=tracker.skipped)

@@ -86,21 +86,24 @@ def write_feeder_json(path: Path, buses, lines, slack=1, base_mva=1.0):
     return path
 
 
+def connect_when_listening(port, wait_s=10.0):
+    """A connection to the local port, retried until something listens there."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            return socket.create_connection(("127.0.0.1", port))
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+
+
 def raw_sensor_session(port, sensor, frames, bye, wait_s=10.0):
     """One sensor session by hand: Hello, the frames, then Bye or a bare
     close. The connect is retried until the central listens."""
     from gridwatch.transport import BYE, FRAME, HELLO, Message, encode
 
-    deadline = time.monotonic() + wait_s
-    while True:
-        try:
-            conn = socket.create_connection(("127.0.0.1", port))
-            break
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.05)
-    with conn:
+    with connect_when_listening(port, wait_s) as conn:
         conn.sendall(encode(Message(kind=HELLO, sensor=sensor, k=0, info={"sensor": sensor})))
         for f in frames:
             conn.sendall(encode(Message(kind=FRAME, sensor=sensor, k=f.k, frame=f)))

@@ -141,6 +141,46 @@ def test_fuse_frames_ordering_and_completeness(ieee34_system):
     assert np.allclose(fused.d_a[15:18], 2.0)    # voltage of bus 31
 
 
+def _fuse_reference(model, frames):
+    """d_a as a loop over preallocated arrays builds it: the arithmetic
+    fuse_frames must reproduce bit for bit."""
+    n = len(model.sensor_buses)
+    cur = np.zeros(3 * n, dtype=complex)
+    vol = np.zeros(3 * n, dtype=complex)
+    for j, b in enumerate(model.sensor_buses):
+        f = frames.get(b)
+        if f is None:
+            continue
+        inj = np.zeros(3, dtype=complex)
+        for i in f.i_lines.values():
+            inj += i
+        cur[3 * j:3 * j + 3] = inj
+        vol[3 * j:3 * j + 3] = f.v
+    return np.concatenate([cur, vol])
+
+
+def test_fuse_frames_matches_loop_reference_bitwise(ieee34_system):
+    model = build_central_model(partition(ieee34_system, Placement((7, 19, 31))))
+    rng = np.random.default_rng(4)
+
+    def c3():
+        return rng.normal(size=3) * 10.0 ** rng.integers(-8, 8, size=3) + 1j * rng.normal(size=3)
+
+    special = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 1.0)])
+    for trial in range(20):
+        frames = {
+            7: PhasorFrame(k=0, bus=7, v=special.copy(),
+                           i_lines={"6-7": c3(), "7-8": c3(), "7-9": c3()}),
+            19: PhasorFrame(k=0, bus=19, v=c3(),
+                            i_lines={"18-19": special.copy() if trial % 2 else c3()}),
+            31: PhasorFrame(k=0, bus=31, v=c3(), i_lines={}),
+        }
+        if trial % 4 == 2:
+            del frames[19]
+        fused = fuse_frames(model, frames, 0)
+        assert fused.d_a.tobytes() == _fuse_reference(model, frames).tobytes()
+
+
 def test_tracker_steady_stream_no_changes(ieee34_system):
     rng = np.random.default_rng(9)
     part = partition(ieee34_system, Placement((7, 19, 31)))

@@ -297,7 +297,7 @@ def test_serve_central_warns_on_early_bye(tmp_path, capsys):
     assert re.search(r"^sessions=2 gaps=0 rejected=0; wrote ", captured.out, re.M)
     stale = re.search(r"^warning: .*stale_releases=(\d+)", captured.err, re.M)
     assert stale and int(stale.group(1)) == n19 - 10
-    assert re.search(r"^warning: .* unfinished=0$", captured.err, re.M)
+    assert re.search(r"^warning: .* unfinished=0 protocol_errors=0$", captured.err, re.M)
 
 
 def test_serve_central_warns_on_unfinished_sensor(tmp_path, capsys):
@@ -314,4 +314,36 @@ def test_serve_central_warns_on_unfinished_sensor(tmp_path, capsys):
     captured = capsys.readouterr()
     assert re.search(r"^sessions=2 gaps=0 rejected=0; wrote ", captured.out, re.M)
     assert re.search(r"^warning: central fusion incomplete: stale_releases=0 late=0 "
-                     r"central_gaps=0 skipped=0 unfinished=1$", captured.err, re.M)
+                     r"central_gaps=0 skipped=0 unfinished=1 protocol_errors=0$",
+                     captured.err, re.M)
+
+
+def test_serve_central_counts_protocol_errors(tmp_path, capsys):
+    """A session that ends on a corrupted frame counts as a protocol error:
+    the sensor comes back on a new session and finishes, and the warning
+    names the one error though every sample was fused complete."""
+    import re
+    from conftest import connect_when_listening, raw_sensor_session
+    from gridwatch.transport import FRAME, HELLO, Message, encode
+
+    def send19(port, frames):
+        with connect_when_listening(port) as conn:
+            conn.sendall(encode(Message(kind=HELLO, sensor=19, k=0, info={"sensor": 19})))
+            for f in frames[:10]:
+                conn.sendall(encode(Message(kind=FRAME, sensor=19, k=f.k, frame=f)))
+            bad = bytearray(encode(Message(kind=FRAME, sensor=19, k=10, frame=frames[10])))
+            bad[20] ^= 0xFF
+            conn.sendall(bad)
+            try:
+                conn.recv(1)   # returns once the central has dropped the session
+            except ConnectionResetError:
+                pass
+        raw_sensor_session(port, 19, frames, bye=True)
+
+    rc, _ = _serve_central_with(tmp_path, send19)
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert re.search(r"^sessions=2 gaps=0 rejected=0; wrote ", captured.out, re.M)
+    assert re.search(r"^warning: central fusion incomplete: stale_releases=0 late=0 "
+                     r"central_gaps=0 skipped=0 unfinished=0 protocol_errors=1$",
+                     captured.err, re.M)

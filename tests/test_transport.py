@@ -10,11 +10,13 @@ from gridwatch.config import Config
 from gridwatch.model import Placement
 from gridwatch.pipeline import run_offline
 from gridwatch.synth import Scenario, generate, read_stream_csv, write_stream_csv
+from gridwatch.central import CentralChangeTracker, build_central_model, fuse_frames
+from gridwatch.model import build_system, partition
 from gridwatch.transport import (BYE, FRAME, HEARTBEAT, HELLO, REPORT,
-                                 ChecksumError, FrameAligner, Message,
-                                 ProtocolError, TruncatedError, VersionError,
-                                 decode, encode, pace, serve_central,
-                                 serve_local)
+                                 ChecksumError, FrameAligner, MalformedError,
+                                 Message, MessageStream, ProtocolError,
+                                 TruncatedError, VersionError, decode, encode,
+                                 pace, serve_central, serve_local)
 
 from conftest import raw_sensor_session
 
@@ -108,6 +110,136 @@ def test_decode_concatenated_stream():
         m, off = decode(buf, off)
         out.append(m.sensor)
     assert out == [0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------- buffered decoding
+
+def _session():
+    """One sensor session's messages and their bytes, with frames whose
+    values include signed zeros, infinities, a NaN and subnormals."""
+    odd = PhasorFrame(k=6, bus=7,
+                      v=np.array([complex(-0.0, np.inf), complex(np.nan, -0.0),
+                                  complex(5e-324, -1e308)]),
+                      i_lines={"6-7": np.array([-0.0j, 1 + 1j, -np.inf + 0j]),
+                               "7-\u00e9": np.zeros(3, dtype=complex)})
+    msgs = [Message(kind=HELLO, sensor=7, k=0, info={"sensor": 7})]
+    msgs += [Message(kind=FRAME, sensor=7, k=k, frame=sample_frame(k=k)) for k in range(6)]
+    msgs += [Message(kind=FRAME, sensor=7, k=6, frame=odd),
+             Message(kind=REPORT, sensor=7, k=10, report=sample_report()),
+             Message(kind=HEARTBEAT, sensor=7, k=7),
+             Message(kind=BYE, sensor=7, k=0, info={})]
+    return msgs, b"".join(encode(m) for m in msgs)
+
+
+def _bits(m: Message) -> tuple:
+    """Everything a message carries, with arrays as their raw bytes."""
+    f = m.frame
+    frame = None if f is None else (
+        f.k, f.bus, f.v.dtype.str, f.v.tobytes(),
+        tuple((lid, i.dtype.str, i.tobytes()) for lid, i in sorted(f.i_lines.items())))
+    return (m.version, m.kind, m.sensor, m.k, m.report, m.info, frame)
+
+
+def _stream_all(chunks) -> list:
+    stream = MessageStream()
+    out = []
+    for chunk in chunks:
+        stream.feed(chunk)
+        while (m := stream.read()) is not None:
+            out.append(m)
+    stream.end()
+    return out
+
+
+def test_decode_bytearray_with_offset_matches_bytes():
+    msgs, raw = _session()
+    junk = b"\xff" * 7
+    buf = bytearray(junk + raw)
+    off_b, off_a = 0, len(junk)
+    while off_b < len(raw):
+        from_bytes, off_b = decode(raw, off_b)
+        from_array, off_a = decode(buf, off_a)
+        assert off_a == off_b + len(junk)
+        assert _bits(from_array) == _bits(from_bytes)
+    assert off_a == len(buf)
+
+
+def test_decoded_arrays_are_the_encoded_bits():
+    msgs, raw = _session()
+    off = 0
+    for m in msgs:
+        back, off = decode(raw, off)
+        assert _bits(back) == _bits(m)
+
+
+def test_message_stream_any_chunking():
+    msgs, raw = _session()
+    want = [_bits(m) for m in msgs]
+    rng = np.random.default_rng(11)
+    splits = [[raw], [raw[i:i + 1] for i in range(len(raw))]]
+    for _ in range(50):
+        cuts = sorted(set(rng.integers(0, len(raw), size=int(rng.integers(1, 40))).tolist()))
+        bounds = [0, *cuts, len(raw)]
+        splits.append([raw[a:b] for a, b in zip(bounds, bounds[1:])])
+    for chunks in splits:
+        assert [_bits(m) for m in _stream_all(chunks)] == want
+
+
+def test_message_stream_fuzz_raises_only_protocol_errors():
+    """Truncated sessions and bit flips, fed in random chunks: the stream
+    yields messages or raises a ProtocolError, nothing else."""
+    _, raw = _session()
+    rng = np.random.default_rng(12)
+    raised = 0
+    for trial in range(3000):
+        data = bytearray(raw)
+        if trial % 2:
+            data = data[:int(rng.integers(0, len(raw)))]
+        else:
+            for pos in rng.integers(0, len(raw), size=int(rng.integers(1, 4))):
+                data[pos] ^= 1 << int(rng.integers(0, 8))
+        bounds = sorted({0, len(data), *rng.integers(0, len(data) + 1, size=5).tolist()})
+        try:
+            _stream_all([bytes(data[a:b]) for a, b in zip(bounds, bounds[1:])])
+        except ProtocolError:
+            raised += 1
+    assert raised > 2500
+
+
+def test_complete_message_with_short_payload_is_malformed():
+    """A whole message whose frame payload runs short cannot be completed by
+    more bytes: the stream raises instead of waiting for them."""
+    import struct
+    import zlib
+    body = struct.pack("<BBIQ", 1, FRAME, 7, 0) + b"\x01" + b"\x00" * 20
+    bad = struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+    stream = MessageStream()
+    stream.feed(bad + encode(Message(kind=HEARTBEAT, sensor=7, k=1)))
+    with pytest.raises(MalformedError):
+        stream.read()
+
+
+def test_central_path_leaves_decoded_arrays_alone(ieee34):
+    """Decoded arrays are read-only views of the message bytes: fusion and
+    the tracker read them and never write, so a write would raise here."""
+    placement = Placement((7, 19, 31))
+    streams = _scenario_streams(ieee34, n_s=0.3)
+    model = build_central_model(partition(build_system(ieee34), placement))
+    decoded = {b: [decode(encode(Message(kind=FRAME, sensor=b, k=f.k, frame=f)))[0].frame
+                   for f in streams[b]] for b in streams}
+    frame = decoded[7][0]
+    assert not frame.v.flags.writeable
+    assert not any(i.flags.writeable for i in frame.i_lines.values())
+    xs = {}
+    for name, frames in (("decoded", decoded), ("original", streams)):
+        tracker = CentralChangeTracker(model, Config())
+        aligner = FrameAligner(placement.sensor_buses)
+        for k in range(len(frames[7])):
+            for b in placement.sensor_buses:
+                for kk, fs in aligner.push(b, frames[b][k]):
+                    tracker.step(fuse_frames(model, fs, kk))
+        xs[name] = tracker.xs
+    assert xs["decoded"] == xs["original"] and xs["decoded"]
 
 
 # ---------------------------------------------------------------- aligner
@@ -386,8 +518,10 @@ def test_report_priority_over_frames(monkeypatch, ieee34):
 
     class RecordingSock:
         def sendall(self, b):
-            m, _ = decode(b)
-            sent.append((m.kind, m.k))
+            off = 0
+            while off < len(b):
+                m, off = decode(b, off)
+                sent.append((m.kind, m.k))
 
         def close(self):
             pass
