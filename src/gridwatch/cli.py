@@ -59,15 +59,20 @@ def cmd_place(args) -> int:
         feeder = reduce_laterals(feeder)
     system = build_system(feeder)
     cands = three_phase_buses(system) if args.candidates == "three-phase" else None
-    if args.solver == "greedy":
-        res = greedy_place(system, args.k, cands)
-    elif args.solver == "exhaustive":
-        res = exhaustive_place(system, args.k, cands)
-    else:
-        res = random_place(system, args.k, args.seed, cands)
+    try:
+        if args.solver == "greedy":
+            res = greedy_place(system, args.k, cands)
+        elif args.solver == "exhaustive":
+            res = exhaustive_place(system, args.k, cands)
+        else:
+            res = random_place(system, args.k, args.seed, cands)
+    except ValueError as e:  # k outside 1..number of candidates
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     out = {"solver": res.solver, "cost": res.objective,
            "buses": list(res.placement.sensor_buses),
-           "run_time_s": round(res.elapsed, 3), "evaluations": res.evaluations}
+           "run_time_s": round(res.elapsed, 3), "evaluations": res.evaluations,
+           "eigensolves": res.eigensolves}
     print(json.dumps(out))
     print(f"{'Solver':<12}{'Cost':<16}{'Buses':<28}{'Run Time'}")
     print(f"{res.solver:<12}{res.objective:<16.5f}"

@@ -6,16 +6,40 @@ rank-one outer product, so lambda_max equals ||u^H H_a||^2 -- minimizing it
 minimizes the worst-case steady-state metric over unit measurement vectors.
 
 Every solver evaluates it through `objective`, from the Gram matrix
-G = H_u H_u^H with one Hermitian eigensolve (`smallest_left_singular_vector`)
-rather than a thin SVD of H_u. Rows of H with no nonzero entry in an
-unsensed column are dropped first, as `central.smallest_left_singular_vector`
-drops them. With n_live rows left and n_u unsensed columns, u is the
-eigenvector at ascending index max(0, n_live - n_u): when H_u has fewer
-columns than live rows, G has n_live - n_u structural zero eigenvalues below
-sigma_min^2, and this is the vector the thin SVD returns. The greedy forms G
-once per round for the buses it has chosen and subtracts each candidate's
-six columns (G - C_b C_b^H); the exhaustive search subtracts each
-combination's sensed columns from H H^H.
+G = H_u H_u^H rather than a thin SVD of H_u. Rows of H with no nonzero entry
+in an unsensed column are dropped first, as
+`central.smallest_left_singular_vector` drops them. With n_live rows left
+and n_u unsensed columns, u is the eigenvector at ascending index
+max(0, n_live - n_u): when H_u has fewer columns than live rows, G has
+n_live - n_u structural zero eigenvalues below sigma_min^2, and this is the
+vector the thin SVD returns.
+
+Round eigendecomposition. The greedy builds one `RoundBase` per round for
+the buses it has chosen: G_r = H_r H_r^H over the columns they leave
+unsensed, and one Hermitian eigensolve G_r = Q diag(lam) Q^H of its live
+block. The exhaustive search builds one for no buses, G_r = H H^H. A
+candidate senses m more columns C (m = 6 per added bus), so its
+G = G_r - C C^H = Q (diag(lam) - w w^H) Q^H with w = Q^H C, n_live x m.
+Its smallest eigenvalue mu is the smallest root of the secular equation
+det(I - w^H (lam - mu)^-1 w) = 0 (Golub 1973; Bunch, Nielsen & Sorensen
+1978), where lambda_max(K(mu)) = 1 for K(mu) = w^H (lam - mu)^-1 w. Below
+lam_0, 1 / lambda_max(K) is concave and decreasing (Cauchy-Schwarz on each
+w_j z), so Newton's method on it, started at the smallest Rayleigh quotient
+min_j(lam_j - |w_j|^2), converges from above. The vector comes from a
+Rayleigh-Ritz step on span{e_0..e_3} + (lam - mu)^-1 w[4:] in the Q basis,
+which holds the exact vector at the root without trusting the secular
+formula in the coordinates nearest mu. The result is used only when it is
+certified: its residual is at most 1e3 eps lambda_max(G_r), and the
+Haynsworth inertia count N(x) = #{lam_j < x} + #{eigenvalues of K(x)
+above 1}, the number of eigenvalues of G below x, gives N(theta - that
+bound) = 0 and N(theta + _GAP_REL lambda_max(G_r)) = 1. As lambda_max(G_r) >=
+lambda_max(G), that is the gap test below, so the downdate returns only
+where the full eigensolve would also have kept its own vector. A candidate
+that fails the certificate, that empties rows the round still has, or
+whose H_u is tall, takes the full eigensolve of G_r - C C^H
+(`smallest_left_singular_vector`), with its SVD fallback;
+`PlacementResult.eigensolves` counts them. A downdate costs O(n_live m)
+plus a few m x m eigensolves, against O(n_live^3) for the full one.
 
 Accuracy. Forming G squares the condition number: the eigenvector's error
 is about eps * lambda_max / gap, where gap is the distance from sigma_min^2
@@ -24,20 +48,25 @@ to the nearest other eigenvalue of G, against eps * sigma_max /
 count as neighbours, so the gap is at most sigma_min^2. Where the gap is
 below _GAP_REL = 1e-7 lambda_max (for a tall H_u, whenever
 sigma_min / sigma_max < 3.2e-4), u comes from the thin SVD of H_u instead,
-which bounds the eigensolve's share of the error near 1e-9. Compared with
-the SVD on every placement of the greedy path of ieee123 with laterals
-reduced at K=20 (1210, of which the SVD takes 16), every ieee34 K=3
-combination (5984; 149) and 900 random ieee34 placements with
-18 <= K <= 33 (731), the objective agreed to 7e-11 relative. The SVD stays
-the central model's solver.
+which bounds the eigensolve's share of the error near 1e-9, downdated or
+not. Compared with the SVD on every candidate of the greedy paths of ieee123
+with laterals reduced at K=4 (274 candidates, none solved in full) and K=20
+(1210; 36 solved in full for emptied rows, 16 for the certificate, all 16
+then by the SVD), and of ieee34 at K=3 (99; 29), the objective agreed to
+3.8e-11 relative. Of the 5984 ieee34 K=3 combinations, 3518 are solved in
+full for emptied rows and 91 for the certificate; the downdated ones agreed
+to 1.2e-9, the worst at (16, 17, 21), whose gap is 1.03e-7 lambda_max. The
+SVD stays the central model's solver.
 
 Still open: where sigma_min is degenerate (a rank-deficient H_u or a tied
-sigma_min), u and hence the objective depend on the basis the SVD picks;
-two SVDs of the same placement agree, but eigensolve and SVD differed by up
-to 47% on the K=20 path above and 380x on the random ieee34 placements. The
-K=20 greedy picks none of them. A basis-free definition,
-lambda_max(U^H H_a H_a^H U) over the subspace U of near-minimal left
-singular vectors, is not implemented.
+sigma_min), u and hence the objective depend on the basis the SVD picks.
+Two SVDs of the same placement agree only under the same number of BLAS
+threads: the K=20 path's candidate (3, 5, 12, 27, 33, 40, 47, 53, 56, 62,
+67, 68, 70) reads 169.0 with one OpenBLAS thread and 239.1 with two.
+Eigensolve and SVD differed by up to 47% on the K=20 path above and 380x on
+the random ieee34 placements. The K=20 greedy picks none of them. A
+basis-free definition, lambda_max(U^H H_a H_a^H U) over the subspace U of
+near-minimal left singular vectors, is not implemented.
 """
 from __future__ import annotations
 
@@ -56,6 +85,14 @@ _TIE_REL = 1e-12
 # and its neighbours for the eigensolve's vector to be used; closer than
 # that, the thin SVD of H_u is used. See "Accuracy" in the module docstring.
 _GAP_REL = 1e-7
+# A downdated eigenpair is used when its residual is at most _CERT_REL
+# lambda_max(G_r). Its eigenvalue takes at most _NEWTON_STEPS Newton steps, and
+# the Rayleigh-Ritz step leaves the first _RITZ_FREE coordinates free. See
+# "Round eigendecomposition" in the module docstring.
+_EPS = np.finfo(float).eps
+_CERT_REL = 1e3 * _EPS
+_NEWTON_STEPS = 50
+_RITZ_FREE = 4
 
 
 class BudgetError(RuntimeError):
@@ -69,6 +106,7 @@ class PlacementResult:
     solver: str
     elapsed: float
     evaluations: int = 0
+    eigensolves: int = 0  # evaluations that took a full eigensolve, not a downdate
 
 
 def smallest_left_singular_vector(H: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -91,40 +129,114 @@ def smallest_left_singular_vector(H: np.ndarray, rows: np.ndarray, cols: np.ndar
     return central.smallest_left_singular_vector(H[np.ix_(rows, cols)])[0]
 
 
-def _unsensed_gram(system: SystemMatrix, buses: tuple[int, ...]) -> np.ndarray:
-    """H_r H_r^H, H_r the columns of H that none of `buses` senses."""
-    keep = np.ones(system.H.shape[1], dtype=bool)
-    keep[entry_columns(system, buses)] = False
-    h_r = system.H[:, keep]
-    return h_r @ h_r.conj().T
+class RoundBase:
+    """G_r = H_r H_r^H, H_r the columns of H that none of `buses` senses, and
+    one eigendecomposition (lam ascending, vecs) of its live block.
+
+    `objective` evaluates from it placements that add buses to `buses`, and
+    counts in `eigensolves` those it had to solve in full.
+    """
+
+    def __init__(self, system: SystemMatrix, buses: tuple[int, ...] = ()):
+        keep = np.ones(system.H.shape[1], dtype=bool)
+        keep[entry_columns(system, buses)] = False
+        h_r = system.H[:, keep]
+        self.buses = buses
+        self.gram = h_r @ h_r.conj().T
+        self.row_nonzeros = np.count_nonzero(h_r, axis=1)
+        self.live = self.row_nonzeros > 0
+        self.lam, self.vecs = np.linalg.eigh(self.gram[np.ix_(self.live, self.live)])
+        self.eigensolves = 0
+
+
+def _downdated_vector(lam: np.ndarray, vecs: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """Bottom eigenvector of vecs diag(lam) vecs^H - c c^H, or None where the
+    result cannot be certified; see "Round eigendecomposition" above."""
+    nz = np.flatnonzero(np.any(c != 0, axis=1))  # the added buses and their neighbours
+    w = vecs[nz].conj().T @ c[nz]
+    n, m = w.shape
+    outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(n, m * m)  # row j: w_j^H w_j
+    tol = _CERT_REL * lam[-1]
+
+    def k_of(x: float) -> np.ndarray:
+        """K(x) = w^H (lam - x)^-1 w."""
+        return ((1 / (lam - x)) @ outer).reshape(m, m)
+
+    def count_below(x: float) -> int:
+        """Eigenvalues of diag(lam) - w w^H below x, by Haynsworth inertia:
+        #{lam_j < x} plus the negative eigenvalues of I - K(x)."""
+        return int(np.count_nonzero(lam < x)
+                   + np.count_nonzero(np.linalg.eigvalsh(k_of(x)) > 1))
+
+    # Below lam[0], 1 / lambda_max(K(mu)) is concave and decreasing, and
+    # equals 1 at the smallest eigenvalue, so Newton on it converges from
+    # above, here from the smallest Rayleigh quotient lam_j - |w_j|^2. Where
+    # that is not below lam[0] - tol (w barely touches lam[0]'s eigenvector),
+    # start there instead: a start below the root stops at once.
+    mu = min(float(np.min(lam - np.sum(abs(w) ** 2, axis=1))), lam[0] - tol)
+    for _ in range(_NEWTON_STEPS):
+        d = lam - mu
+        k, z = np.linalg.eigh(k_of(mu))
+        y = (w @ z[:, -1]) / d
+        step = k[-1] * (1 - k[-1]) / np.vdot(y, y).real
+        mu += min(step, 0.0)
+        # stop at rounding level, or once the step is small against the
+        # distance to the pole lam[0] (close to it a step about doubles it)
+        if -step <= _EPS * lam[-1] + 1e-8 * d[0]:
+            break
+    # Rayleigh-Ritz on span{e_0..e_{p-1}} + (lam - mu)^-1 w[p:]: at the root
+    # the exact vector lies in it, and its first coordinates, where lam - mu
+    # is smallest, need not come from the secular formula
+    p = min(_RITZ_FREE, n)
+    q, _ = np.linalg.qr(w[p:] / (lam[p:] - mu)[:, None])
+    qh = q.conj().T
+    bw = np.concatenate([w[:p], qh @ w[p:]])
+    a = -(bw @ bw.conj().T)
+    a[:p, :p] += np.diag(lam[:p])
+    a[p:, p:] += qh @ (lam[p:, None] * q)
+    ritz, s = np.linalg.eigh(a)
+    theta = ritz[0]
+    y = np.concatenate([s[:p, 0], q @ s[p:, 0]])
+    resid = lam * y - w @ (w.conj().T @ y) - theta * y
+    if (np.linalg.norm(resid) > tol or count_below(theta - tol) != 0
+            or count_below(theta + _GAP_REL * lam[-1]) != 1):
+        return None
+    return vecs @ y
 
 
 def objective(system: SystemMatrix, placement: Placement,
-              gram: np.ndarray | None = None, gram_buses: tuple[int, ...] = ()) -> float:
+              base: RoundBase | None = None) -> float:
     """lambda_max of the rank-one worst-case form for one placement.
 
-    Without `gram`, G = H_u H_u^H is formed from `partition`. The solvers pass
-    `gram` = H_r H_r^H instead, H_r the columns of H that none of
-    `gram_buses` (a subset of the placement) senses; the columns of the
-    placement's other buses are subtracted from it.
+    Without `base`, G = H_u H_u^H is formed from `partition`. The solvers pass
+    a `RoundBase` of some of the placement's buses instead; the columns c of
+    the placement's other buses are a downdate of it, G = G_r - c c^H.
     """
     if placement.k >= system.bus_count:
         return 0.0
     H = system.H
-    if gram is None:
-        part = partition(system, placement)
-        gram = part.H_u @ part.H_u.conj().T
-        sensed_columns = part.avail_columns
-    else:
-        added = tuple(b for b in placement.sensor_buses if b not in gram_buses)
-        c = H[:, entry_columns(system, added)]
-        gram = gram - c @ c.conj().T
-        sensed_columns = entry_columns(system, placement.sensor_buses)
     sensed = np.zeros(H.shape[1], dtype=bool)
-    sensed[sensed_columns] = True
-    unsensed = ~sensed
-    live = np.any(H[:, unsensed] != 0, axis=1)
-    u = smallest_left_singular_vector(H, live, unsensed, gram[np.ix_(live, live)])
+    u = None
+    if base is None:
+        part = partition(system, placement)
+        sensed[part.avail_columns] = True
+        live = np.any(part.H_u != 0, axis=1)
+        gram = part.H_u @ part.H_u.conj().T
+    else:
+        added = tuple(b for b in placement.sensor_buses if b not in base.buses)
+        c = H[:, entry_columns(system, added)]
+        sensed[entry_columns(system, placement.sensor_buses)] = True
+        live = base.row_nonzeros > np.count_nonzero(c, axis=1)
+        # the downdate needs the round's live rows and a wide H_u (u at
+        # ascending index 0); otherwise G is solved in full
+        if (np.array_equal(live, base.live)
+                and H.shape[1] - np.count_nonzero(sensed) >= np.count_nonzero(live)):
+            u = _downdated_vector(base.lam, base.vecs, c[live])
+        if u is None:
+            base.eigensolves += 1
+            gram = base.gram - c @ c.conj().T
+    if u is None:
+        u = smallest_left_singular_vector(H, live, ~sensed, gram[np.ix_(live, live)])
     row = np.conj(u) @ H[np.ix_(live, sensed)]
     return float(np.vdot(row, row).real)
 
@@ -134,60 +246,69 @@ def three_phase_buses(system: SystemMatrix) -> tuple[int, ...]:
     return tuple(b for b in f.bus_ids if f.bus_phases(b).is_three_phase)
 
 
+def _candidates(system: SystemMatrix, k: int,
+                candidates: tuple[int, ...] | None) -> list[int]:
+    """Distinct candidate buses, ascending; k must be 1..their count."""
+    cands = sorted(set(candidates if candidates is not None else system.feeder.bus_ids))
+    if not 1 <= k <= len(cands):
+        raise ValueError(f"k={k} outside candidate set of {len(cands)}")
+    return cands
+
+
 def greedy_place(system: SystemMatrix, k: int,
                  candidates: tuple[int, ...] | None = None) -> PlacementResult:
     """K rounds of best-single-addition; ties go to the lowest bus id."""
-    cands = sorted(candidates if candidates is not None else system.feeder.bus_ids)
-    if not 1 <= k <= len(cands):
-        raise ValueError(f"k={k} outside candidate set of {len(cands)}")
+    cands = _candidates(system, k, candidates)
     t0 = time.perf_counter()
     chosen: tuple[int, ...] = ()
-    evals = 0
+    evals = eigensolves = 0
     for _ in range(k):
-        gram = _unsensed_gram(system, chosen)
+        base = RoundBase(system, chosen)
         best_bus, best_cost = None, math.inf
         for b in cands:
             if b in chosen:
                 continue
-            cost = objective(system, Placement(chosen + (b,)), gram, chosen)
+            cost = objective(system, Placement(chosen + (b,)), base)
             evals += 1
             if best_bus is None or cost < best_cost - _TIE_REL * max(abs(cost), abs(best_cost)):
                 best_bus, best_cost = b, cost
         chosen += (best_bus,)
+        eigensolves += base.eigensolves
     final = Placement(chosen)
     return PlacementResult(placement=final, objective=objective(system, final),
                            solver="greedy", elapsed=time.perf_counter() - t0,
-                           evaluations=evals)
+                           evaluations=evals, eigensolves=eigensolves)
 
 
 def exhaustive_place(system: SystemMatrix, k: int,
                      candidates: tuple[int, ...] | None = None,
                      budget: int = 2_000_000) -> PlacementResult:
-    cands = sorted(candidates if candidates is not None else system.feeder.bus_ids)
+    cands = _candidates(system, k, candidates)
     n = math.comb(len(cands), k)
     if n > budget:
         raise BudgetError(f"C({len(cands)},{k}) = {n} exceeds budget {budget}")
     t0 = time.perf_counter()
-    gram = _unsensed_gram(system, ())
+    base = RoundBase(system)
     best, best_cost = None, math.inf
     evals = 0
     for combo in combinations(cands, k):
-        cost = objective(system, Placement(combo), gram)
+        cost = objective(system, Placement(combo), base)
         evals += 1
         if best is None or cost < best_cost - _TIE_REL * max(abs(cost), abs(best_cost)):
             best, best_cost = combo, cost
     return PlacementResult(placement=Placement(best), objective=best_cost,
                            solver="exhaustive", elapsed=time.perf_counter() - t0,
-                           evaluations=evals)
+                           evaluations=evals, eigensolves=base.eigensolves)
 
 
 def random_place(system: SystemMatrix, k: int, seed: int,
                  candidates: tuple[int, ...] | None = None) -> PlacementResult:
-    cands = sorted(candidates if candidates is not None else system.feeder.bus_ids)
+    cands = _candidates(system, k, candidates)
     rng = np.random.default_rng(seed)
     combo = tuple(int(b) for b in rng.choice(cands, size=k, replace=False))
     t0 = time.perf_counter()
     p = Placement(combo)
     cost = objective(system, p)
     return PlacementResult(placement=p, objective=cost, solver="random",
-                           elapsed=time.perf_counter() - t0, evaluations=1)
+                           elapsed=time.perf_counter() - t0, evaluations=1,
+                           eigensolves=1)

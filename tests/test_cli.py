@@ -12,7 +12,17 @@ def test_place_greedy_table(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out.splitlines()[0])
     assert payload["buses"] == [2, 23, 29]
+    assert 0 < payload["eigensolves"] <= payload["evaluations"] == 99
     assert "Cost" in out and "Run Time" in out
+
+
+@pytest.mark.parametrize("solver", ["greedy", "exhaustive", "random"])
+def test_place_k_outside_candidates_is_usage_error(capsys, solver):
+    rc = main(["place", "--feeder", "ieee34", "--k", "40", "--solver", solver])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: k=40 outside candidate set of 34\n"
 
 
 def test_place_random_seeded(capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gridwatch.model import Placement, build_system, partition, reduce_laterals
-from gridwatch.placement import (BudgetError, exhaustive_place, greedy_place,
-                                 objective, random_place, three_phase_buses)
+from gridwatch.placement import (BudgetError, RoundBase, exhaustive_place,
+                                 greedy_place, objective, random_place,
+                                 three_phase_buses)
 
 from conftest import random_radial_feeder, toy_feeder
 
@@ -82,12 +83,22 @@ def test_smallest_left_singular_vector_small_gap(lam_min):
 
 
 def svd_reference_greedy(system, k):
-    """Greedy over `dense_eig_oracle`; exact ties go to the lowest bus id."""
+    """Greedy over `dense_eig_oracle`; exact ties go to the lowest bus id.
+
+    Every candidate's objective from the round's `RoundBase` must agree with
+    the oracle to 1e-10, whichever path (downdate or full solve) it takes.
+    """
     chosen = ()
     for _ in range(k):
-        _, best = min((dense_eig_oracle(system, Placement(chosen + (b,))), b)
-                      for b in system.feeder.bus_ids if b not in chosen)
-        chosen += (best,)
+        base = RoundBase(system, chosen)
+        costs = []
+        for b in system.feeder.bus_ids:
+            if b in chosen:
+                continue
+            p = Placement(chosen + (b,))
+            costs.append((dense_eig_oracle(system, p), b))
+            assert objective(system, p, base) == pytest.approx(costs[-1][0], rel=1e-10)
+        chosen += (min(costs)[1],)
     final = Placement(chosen)
     return final.sensor_buses, dense_eig_oracle(system, final)
 
@@ -99,6 +110,9 @@ def test_greedy_matches_svd_reference_ieee34(ieee34_system):
     res = greedy_place(ieee34_system, 3)
     assert res.placement.sensor_buses == buses
     assert res.objective == pytest.approx(cost, rel=1e-9)
+    # single-phase candidates leave rows of H_u empty, which the downdate
+    # does not handle: those take the full eigensolve
+    assert res.eigensolves > 0
 
 
 def test_greedy_matches_svd_reference_ieee123_reduced(ieee123):
@@ -109,6 +123,60 @@ def test_greedy_matches_svd_reference_ieee123_reduced(ieee123):
     assert res.placement.sensor_buses == buses
     assert res.objective == pytest.approx(cost, rel=1e-9)
     assert res.evaluations == 70 + 69 + 68 + 67
+    assert res.eigensolves <= 0.05 * res.evaluations
+
+
+def test_greedy_ieee123_reduced_k20_path(ieee123):
+    # the whole K = 20 greedy path; acceptance criterion 2 checks only that it
+    # beats random placements
+    res = greedy_place(build_system(reduce_laterals(ieee123)), 20)
+    assert res.placement.sensor_buses == (3, 5, 12, 26, 27, 32, 33, 34, 35, 40, 41, 42,
+                                          47, 53, 54, 55, 56, 62, 67, 70)
+    assert res.objective == pytest.approx(4.184679451647105, rel=1e-9)
+    assert res.evaluations == sum(70 - r for r in range(20))
+    print(f"greedy ieee123-reduced K=20: {res.elapsed:.2f} s, "
+          f"{res.eigensolves} of {res.evaluations} candidates by full eigensolve")
+
+
+# First picks of the greedy ieee123-reduced K=20 path, in the order chosen.
+_K20_ORDER = (53, 5, 40, 67, 12, 33, 56, 62, 27, 47, 3, 70)
+# One side of the bipartition of the ieee123-reduced tree, less bus 70: no
+# bus has itself and all its neighbours sensed, so no row of H_u goes empty.
+_IEEE123_HALF = (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 22, 24, 26, 28, 30, 32, 34, 36, 38,
+                 40, 42, 43, 45, 47, 49, 51, 53, 55, 56, 58, 60, 62, 64, 66, 68)
+
+
+@pytest.mark.parametrize("case, feeder, base_buses, added", [
+    # G = H H^H has a triple eigenvalue at 1, from the null space of Y
+    ("triple", "ieee123-reduced", (), (5,)),
+    ("triple", "ieee123-reduced", (), (70,)),
+    # round 8 of the K=20 path, with bus 4 added
+    ("downdate", "ieee123-reduced", _K20_ORDER[:8], (4,)),
+    # rank-18 downdates of H H^H, as in the exhaustive search
+    ("downdate", "ieee123-reduced", (), (5, 40, 53)),
+    ("downdate", "ieee123-reduced", (), (3, 27, 70)),
+    # sigma_min of H_u is degenerate: the inertia count must refuse the downdate
+    ("degenerate", "ieee123-reduced", _K20_ORDER, (68,)),
+    # 36 sensors leave 204 unsensed columns for 210 live rows
+    ("tall", "ieee123-reduced", _IEEE123_HALF, (70,)),
+    # single-phase buses empty the rows of their absent phases
+    ("dead rows", "ieee34", (), (5,)),
+    ("dead rows", "ieee34", (), (12,)),
+    ("dead rows", "ieee34", (), (34,)),
+])
+def test_round_base_objective_matches_oracle(ieee34_system, ieee123, case, feeder,
+                                             base_buses, added):
+    sysm = ieee34_system if feeder == "ieee34" else build_system(reduce_laterals(ieee123))
+    base = RoundBase(sysm, base_buses)
+    p = Placement(base_buses + added)
+    part = partition(sysm, p)
+    live = np.any(part.H_u != 0, axis=1)
+    assert np.array_equal(live, base.live) == (case != "dead rows")
+    assert (part.H_u.shape[1] < np.count_nonzero(live)) == (case == "tall")
+    if case == "triple":
+        assert np.all(abs(base.lam[:3] - 1) < 1e-12) and base.lam[3] - 1 > 1e-5
+    assert objective(sysm, p, base) == pytest.approx(dense_eig_oracle(sysm, p), rel=1e-10)
+    assert base.eigensolves == (0 if case in ("triple", "downdate") else 1)
 
 
 def test_objective_recompute_invariant(ieee34_system):
@@ -153,6 +221,22 @@ def test_greedy_k_bounds(ieee34_system):
         greedy_place(ieee34_system, 0)
     with pytest.raises(ValueError):
         greedy_place(ieee34_system, 99)
+
+
+@pytest.mark.parametrize("solve", [greedy_place, exhaustive_place,
+                                   lambda s, k, c=None: random_place(s, k, 0, c)])
+def test_every_solver_checks_k(ieee34_system, solve):
+    for k, cands, n in ((0, None, 34), (35, None, 34), (40, None, 34), (3, (7, 7, 19), 2)):
+        with pytest.raises(ValueError, match=f"k={k} outside candidate set of {n}$"):
+            solve(ieee34_system, k, cands)
+
+
+def test_duplicate_candidates_counted_once(ieee34_system):
+    res = greedy_place(ieee34_system, 2, (7, 7, 19))
+    assert res.placement.sensor_buses == (7, 19)
+    assert res.evaluations == 3
+    assert exhaustive_place(ieee34_system, 2, (19, 7, 19)).evaluations == 1
+    assert set(random_place(ieee34_system, 2, 0, (7, 19, 7)).placement.sensor_buses) == {7, 19}
 
 
 def test_exhaustive_k1_two_bus_scan():
