@@ -154,7 +154,7 @@ def _write_derived(outdir: Path, feeder, buses, streams, cfg) -> None:
     for bus in buses:
         eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
         rows = ["k,line,vmag_a,vmag_b,vmag_c,p_a,q_a,imag_a,beta_hat,qss_residual"]
-        for block in blocks(streams[bus]):
+        for block in blocks(streams.get(bus, [])):  # a sensor without a stream is empty
             d = eng.derive(block)
             vmag, beta = d.vmag.tolist(), d.beta_hat.tolist()
             lines = []

@@ -20,26 +20,29 @@ unsensed, and one Hermitian eigensolve G_r = Q diag(lam) Q^H of its live
 block. The exhaustive search builds one for no buses, G_r = H H^H. A
 candidate senses m more columns C (m = 6 per added bus), so its
 G = G_r - C C^H = Q (diag(lam) - w w^H) Q^H with w = Q^H C, n_live x m.
-Its smallest eigenvalue mu is the smallest root of the secular equation
-det(I - w^H (lam - mu)^-1 w) = 0 (Golub 1973; Bunch, Nielsen & Sorensen
-1978), where lambda_max(K(mu)) = 1 for K(mu) = w^H (lam - mu)^-1 w. Below
-lam_0, 1 / lambda_max(K) is concave and decreasing (Cauchy-Schwarz on each
-w_j z), so Newton's method on it, started at the smallest Rayleigh quotient
-min_j(lam_j - |w_j|^2), converges from above. The vector comes from a
-Rayleigh-Ritz step on span{e_0..e_3} + (lam - mu)^-1 w[4:] in the Q basis,
-which holds the exact vector at the root without trusting the secular
-formula in the coordinates nearest mu. The result is used only when it is
-certified: its residual is at most 1e3 eps lambda_max(G_r), and the
-Haynsworth inertia count N(x) = #{lam_j < x} + #{eigenvalues of K(x)
-above 1}, the number of eigenvalues of G below x, gives N(theta - that
-bound) = 0 and N(theta + _GAP_REL lambda_max(G_r)) = 1. As lambda_max(G_r) >=
+Its bottom eigenpair comes from Rayleigh-Ritz steps in the Q basis on
+span{e_0..e_3} + (lam - sigma)^-1 w[4:], each shifted by the Ritz value
+theta of the step before, sigma = min(theta, lam_0 - tol) with
+tol = 1e3 eps lambda_max(G_r), from the smallest Rayleigh quotient
+min_j(lam_j - |w_j|^2) until theta moves by at most eps lambda_max(G_r).
+Every theta is an upper bound on the smallest eigenvalue mu of G (Parlett,
+The Symmetric Eigenvalue Problem, 1998, ch. 11), and at sigma = mu the
+subspace holds the exact vector, whose coordinates past the first four are
+(lam - mu)^-1 w times an m-vector (the secular form of Golub 1973). The clamp keeps every divisor at least tol where lam_0 is tied
+more than four times. On the bundled greedy paths a downdate took 4.0 steps
+on average and at most 6. The result is used only when it is certified:
+its residual is at most tol, and the Haynsworth inertia count
+N(x) = #{lam_j < x} + #{eigenvalues of w^H (lam - x)^-1 w above 1}, the
+number of eigenvalues of G below x, gives N(theta - tol) = 0 and
+N(theta + _GAP_REL lambda_max(G_r)) = 1. As lambda_max(G_r) >=
 lambda_max(G), that is the gap test below, so the downdate returns only
 where the full eigensolve would also have kept its own vector. A candidate
 that fails the certificate, that empties rows the round still has, or
 whose H_u is tall, takes the full eigensolve of G_r - C C^H
 (`smallest_left_singular_vector`), with its SVD fallback;
-`PlacementResult.eigensolves` counts them. A downdate costs O(n_live m)
-plus a few m x m eigensolves, against O(n_live^3) for the full one.
+`PlacementResult.eigensolves` counts them. A Ritz step costs a QR of the
+n_live x m block and an eigensolve of order m + 4, against O(n_live^3) for
+the full eigensolve.
 
 Accuracy. Forming G squares the condition number: the eigenvector's error
 is about eps * lambda_max / gap, where gap is the distance from sigma_min^2
@@ -53,10 +56,11 @@ not. Compared with the SVD on every candidate of the greedy paths of ieee123
 with laterals reduced at K=4 (274 candidates, none solved in full) and K=20
 (1210; 36 solved in full for emptied rows, 16 for the certificate, all 16
 then by the SVD), and of ieee34 at K=3 (99; 29), the objective agreed to
-3.8e-11 relative. Of the 5984 ieee34 K=3 combinations, 3518 are solved in
-full for emptied rows and 91 for the certificate; the downdated ones agreed
-to 1.2e-9, the worst at (16, 17, 21), whose gap is 1.03e-7 lambda_max. The
-SVD stays the central model's solver.
+4.5e-11 relative under one BLAS thread. Of the 5984 ieee34 K=3
+combinations, 3518 are solved in full for emptied rows and 91 for the
+certificate; the downdated ones agreed to 4.4e-10, the worst at
+(16, 17, 21), whose gap is 1.03e-7 lambda_max. The SVD stays the central
+model's solver.
 
 Still open: where sigma_min is degenerate (a rank-deficient H_u or a tied
 sigma_min), u and hence the objective depend on the basis the SVD picks.
@@ -86,12 +90,12 @@ _TIE_REL = 1e-12
 # that, the thin SVD of H_u is used. See "Accuracy" in the module docstring.
 _GAP_REL = 1e-7
 # A downdated eigenpair is used when its residual is at most _CERT_REL
-# lambda_max(G_r). Its eigenvalue takes at most _NEWTON_STEPS Newton steps, and
-# the Rayleigh-Ritz step leaves the first _RITZ_FREE coordinates free. See
-# "Round eigendecomposition" in the module docstring.
+# lambda_max(G_r). It takes at most _RITZ_STEPS Rayleigh-Ritz steps, each of
+# which leaves the first _RITZ_FREE coordinates free. See "Round
+# eigendecomposition" in the module docstring.
 _EPS = np.finfo(float).eps
 _CERT_REL = 1e3 * _EPS
-_NEWTON_STEPS = 50
+_RITZ_STEPS = 12
 _RITZ_FREE = 4
 
 
@@ -154,51 +158,36 @@ def _downdated_vector(lam: np.ndarray, vecs: np.ndarray, c: np.ndarray) -> np.nd
     result cannot be certified; see "Round eigendecomposition" above."""
     nz = np.flatnonzero(np.any(c != 0, axis=1))  # the added buses and their neighbours
     w = vecs[nz].conj().T @ c[nz]
-    n, m = w.shape
-    outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(n, m * m)  # row j: w_j^H w_j
+    p = min(_RITZ_FREE, w.shape[0])
     tol = _CERT_REL * lam[-1]
-
-    def k_of(x: float) -> np.ndarray:
-        """K(x) = w^H (lam - x)^-1 w."""
-        return ((1 / (lam - x)) @ outer).reshape(m, m)
 
     def count_below(x: float) -> int:
         """Eigenvalues of diag(lam) - w w^H below x, by Haynsworth inertia:
-        #{lam_j < x} plus the negative eigenvalues of I - K(x)."""
-        return int(np.count_nonzero(lam < x)
-                   + np.count_nonzero(np.linalg.eigvalsh(k_of(x)) > 1))
+        #{lam_j < x} plus the eigenvalues of K(x) = w^H (lam - x)^-1 w above 1."""
+        k = w.conj().T @ (w / (lam - x)[:, None])
+        return int(np.count_nonzero(lam < x) + np.count_nonzero(np.linalg.eigvalsh(k) > 1))
 
-    # Below lam[0], 1 / lambda_max(K(mu)) is concave and decreasing, and
-    # equals 1 at the smallest eigenvalue, so Newton on it converges from
-    # above, here from the smallest Rayleigh quotient lam_j - |w_j|^2. Where
-    # that is not below lam[0] - tol (w barely touches lam[0]'s eigenvector),
-    # start there instead: a start below the root stops at once.
-    mu = min(float(np.min(lam - np.sum(abs(w) ** 2, axis=1))), lam[0] - tol)
-    for _ in range(_NEWTON_STEPS):
-        d = lam - mu
-        k, z = np.linalg.eigh(k_of(mu))
-        y = (w @ z[:, -1]) / d
-        step = k[-1] * (1 - k[-1]) / np.vdot(y, y).real
-        mu += min(step, 0.0)
-        # stop at rounding level, or once the step is small against the
-        # distance to the pole lam[0] (close to it a step about doubles it)
-        if -step <= _EPS * lam[-1] + 1e-8 * d[0]:
+    # Rayleigh-Ritz on span{e_0..e_{p-1}} + (lam - sigma)^-1 w[p:], repeated
+    # with its own value as the next shift; sigma <= lam[0] - tol keeps every
+    # divisor at least tol even where lam[0] is tied more than p times
+    sigma = min(float(np.min(lam - np.sum(abs(w) ** 2, axis=1))), lam[0] - tol)
+    theta = math.inf
+    for _ in range(_RITZ_STEPS):
+        q, _ = np.linalg.qr(w[p:] / (lam[p:] - sigma)[:, None])
+        qh = q.conj().T
+        bw = np.concatenate([w[:p], qh @ w[p:]])
+        a = -(bw @ bw.conj().T)
+        a[:p, :p] += np.diag(lam[:p])
+        a[p:, p:] += qh @ (lam[p:, None] * q)
+        ritz, s = np.linalg.eigh(a)
+        last, theta = theta, ritz[0]
+        if not np.isfinite(theta) or abs(theta - last) <= _EPS * lam[-1]:
             break
-    # Rayleigh-Ritz on span{e_0..e_{p-1}} + (lam - mu)^-1 w[p:]: at the root
-    # the exact vector lies in it, and its first coordinates, where lam - mu
-    # is smallest, need not come from the secular formula
-    p = min(_RITZ_FREE, n)
-    q, _ = np.linalg.qr(w[p:] / (lam[p:] - mu)[:, None])
-    qh = q.conj().T
-    bw = np.concatenate([w[:p], qh @ w[p:]])
-    a = -(bw @ bw.conj().T)
-    a[:p, :p] += np.diag(lam[:p])
-    a[p:, p:] += qh @ (lam[p:, None] * q)
-    ritz, s = np.linalg.eigh(a)
-    theta = ritz[0]
+        sigma = min(theta, lam[0] - tol)
     y = np.concatenate([s[:p, 0], q @ s[p:, 0]])
     resid = lam * y - w @ (w.conj().T @ y) - theta * y
-    if (np.linalg.norm(resid) > tol or count_below(theta - tol) != 0
+    if (not (np.isfinite(theta) and np.linalg.norm(resid) <= tol)
+            or count_below(theta - tol) != 0
             or count_below(theta + _GAP_REL * lam[-1]) != 1):
         return None
     return vecs @ y
@@ -296,7 +285,8 @@ def exhaustive_place(system: SystemMatrix, k: int,
         evals += 1
         if best is None or cost < best_cost - _TIE_REL * max(abs(cost), abs(best_cost)):
             best, best_cost = combo, cost
-    return PlacementResult(placement=Placement(best), objective=best_cost,
+    final = Placement(best)
+    return PlacementResult(placement=final, objective=objective(system, final),
                            solver="exhaustive", elapsed=time.perf_counter() - t0,
                            evaluations=evals, eigensolves=base.eigensolves)
 

@@ -29,6 +29,12 @@ SLACK_V = np.exp(1j * np.array([0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0]))
 
 DEFAULT_FAULT_ADMITTANCE = 1e3  # p.u., single-line-to-ground surrogate
 
+# `solve_network`'s fixed point: converged once no voltage moves more than
+# _SOLVE_TOL p.u. in a step, each step under-relaxed by _SOLVE_RELAXATION
+_SOLVE_TOL = 1e-10
+_SOLVE_MAXITER = 400
+_SOLVE_RELAXATION = 0.8
+
 
 class ScenarioError(ValueError):
     pass
@@ -152,9 +158,7 @@ def active_phase_indices(feeder: FeederModel, lines: tuple[LineSegment, ...]) ->
 
 
 def solve_network(system: SystemMatrix, loads: dict[int, np.ndarray],
-                  slack_v: np.ndarray, live: np.ndarray | None = None,
-                  tol: float = 1e-10, maxiter: int = 400,
-                  relaxation: float = 0.8) -> np.ndarray:
+                  slack_v: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
     """Bus voltages for constant-power injections, fixed-point iteration.
 
     Loads on de-energized or absent phases are dropped; below 0.5 p.u. a
@@ -186,7 +190,7 @@ def solve_network(system: SystemMatrix, loads: dict[int, np.ndarray],
     Y_ff = system.Y[np.ix_(free, free)]
     Y_fs = system.Y[np.ix_(free, slack_rows)]
     rhs_slack = Y_fs @ slack_v
-    for _ in range(maxiter):
+    for _ in range(_SOLVE_MAXITER):
         v_f = V[free]
         mag = np.abs(v_f)
         shrink = np.minimum(mag / 0.5, 1.0) ** 2
@@ -194,10 +198,10 @@ def solve_network(system: SystemMatrix, loads: dict[int, np.ndarray],
         with np.errstate(divide="ignore", invalid="ignore"):
             i_inj = np.where(mag > 1e-9, np.conj(-s_eff / np.where(mag > 1e-9, v_f, 1.0)), 0.0)
         v_new = np.linalg.solve(Y_ff, i_inj - rhs_slack)
-        v_next = v_f + relaxation * (v_new - v_f)
+        v_next = v_f + _SOLVE_RELAXATION * (v_new - v_f)
         delta = float(np.max(np.abs(v_next - v_f)))
         V[free] = v_next
-        if delta <= tol:
+        if delta <= _SOLVE_TOL:
             return V
     raise ConvergenceError(f"network solve did not converge (last step {delta:.3e})")
 

@@ -28,6 +28,7 @@ from .pipeline import line_ratings_at
 
 VERSION = 1
 MAX_BODY = 1 << 20
+_RECONNECT_INTERVAL_S = 0.05  # serve_local's pause between connection attempts
 
 HELLO, FRAME, REPORT, HEARTBEAT, BYE = range(5)
 _KIND_NAMES = {HELLO: "hello", FRAME: "frame", REPORT: "report",
@@ -358,7 +359,6 @@ class LocalStats:
 def serve_local(frames, sensor: int, central_addr: tuple[str, int],
                 feeder: FeederModel, cfg: Config | None = None,
                 spool_path: str | Path | None = None,
-                reconnect_interval: float = 0.05,
                 max_retry_s: float = 30.0) -> LocalStats:
     """Run a local engine over a frame source, shipping results upstream.
 
@@ -445,7 +445,7 @@ def serve_local(frames, sensor: int, central_addr: tuple[str, int],
                 return
             if time.monotonic() > deadline:
                 raise ConnectionError(f"central at {central_addr} unreachable")
-            time.sleep(reconnect_interval)
+            time.sleep(_RECONNECT_INTERVAL_S)
 
     ensure_link()
     stats.reconnects -= 1  # first connect is not a reconnect

@@ -143,6 +143,18 @@ def test_analyze_derived_metrics(tmp_path):
     assert derived.read_text().splitlines()[0].startswith("k,line,vmag_a")
 
 
+def test_analyze_derived_sensor_without_stream(tmp_path):
+    # the quiet scenario streams buses 7, 19 and 31 only
+    streams = tmp_path / "streams"
+    out = tmp_path / "out"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    assert not (streams / "bus33.csv").exists()
+    assert main(["analyze", "--streams", str(streams), "--out", str(out),
+                 "--placement", "7,19,31,33", "--derived"]) == 0
+    header = (out / "derived_bus7.csv").read_text().splitlines()[0]
+    assert (out / "derived_bus33.csv").read_text() == header + "\n"
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_defaults_valid():

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gridwatch.model import Placement, build_system, partition, reduce_laterals
-from gridwatch.placement import (BudgetError, RoundBase, exhaustive_place,
-                                 greedy_place, objective, random_place,
-                                 three_phase_buses)
+from gridwatch.placement import (BudgetError, RoundBase, _downdated_vector,
+                                 exhaustive_place, greedy_place, objective,
+                                 random_place, three_phase_buses)
 
 from conftest import random_radial_feeder, toy_feeder
 
@@ -80,6 +82,32 @@ def test_smallest_left_singular_vector_small_gap(lam_min):
     phase = np.vdot(ref, u) / abs(np.vdot(ref, u))
     assert np.linalg.norm(u - phase * ref) < 1e-9
     assert np.linalg.norm(h_u.conj().T @ u) == pytest.approx(np.sqrt(lam_min), rel=1e-6)
+
+
+@pytest.mark.parametrize("touch", [True, False])
+@pytest.mark.parametrize("mult", range(1, 7))
+def test_downdated_vector_synthetic_spectra(mult, touch):
+    # diag(lam) - c c^H with lam's bottom eigenvalue tied `mult` times, past
+    # the Ritz step's free coordinates, and c touching or missing that block.
+    # A certified vector is eigh's, up to phase; the gap decides certification.
+    rng = np.random.default_rng([mult, touch])
+    n, certified = 40, 0
+    for m, scale, _ in itertools.product((6, 18), (0.3, 0.01), range(20)):
+        lam = np.concatenate([np.ones(mult), np.sort(rng.uniform(1.5, 10.0, n - mult))])
+        c = scale * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+        if not touch:
+            c[:mult] = 0
+        with np.errstate(all="raise"):
+            u = _downdated_vector(lam, np.eye(n), c)
+        ev, vecs = np.linalg.eigh(np.diag(lam) - c @ c.conj().T)
+        if ev[1] - ev[0] <= 1e-7 * lam[-1]:
+            assert u is None
+        elif u is not None:
+            assert np.all(np.isfinite(u))
+            phase = np.vdot(u, vecs[:, 0]) / abs(np.vdot(u, vecs[:, 0]))
+            assert np.linalg.norm(phase * u - vecs[:, 0]) < 1e-10
+            certified += 1
+    assert certified > 0
 
 
 def svd_reference_greedy(system, k):
@@ -245,6 +273,16 @@ def test_exhaustive_k1_two_bus_scan():
     best = min((objective(sysm, Placement((b,))), b) for b in sysm.feeder.bus_ids)
     assert res.objective == pytest.approx(best[0])
     assert res.placement.sensor_buses == (best[1],)
+
+
+def test_exact_solvers_report_the_same_objective(ieee34_system):
+    # both report the objective of their placement solved without a round base,
+    # not the downdated value that ranked it
+    g, e = greedy_place(ieee34_system, 1), exhaustive_place(ieee34_system, 1)
+    assert g.placement == e.placement
+    assert g.objective == e.objective
+    e = exhaustive_place(ieee34_system, 2)
+    assert e.objective == objective(ieee34_system, e.placement)
 
 
 def test_exhaustive_budget_refused(ieee34_system):
