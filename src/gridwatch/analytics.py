@@ -240,9 +240,6 @@ class FrequencyTracker:
         self.beta_hat, self._prev, self._seeded, self.quality_drops = beta, prev, seeded, drops
         return out
 
-    def update(self, v: np.ndarray) -> float:
-        return self.track(positive_sequence(v).tolist())[-1]
-
 
 def estimate_frequency_drift(v_window, lambda_forget: float = 0.99) -> float:
     """Run a fresh tracker over a window of voltage frames (>= 2)."""

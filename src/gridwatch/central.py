@@ -10,12 +10,14 @@ the grid is quasi steady-state.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .analytics import AnomalyReport, DetectorState, EventSegmenter, cusum_step
+from .analytics import AnomalyReport, DetectorState, EventSegmenter, cusum_run
 from .config import Config
 from .model import PartitionedSystem
 
@@ -66,8 +68,19 @@ class CentralModel:
         return self.partition.placement.sensor_buses
 
     @cached_property
-    def u_conj(self) -> np.ndarray:
-        return np.conj(self.u_us)
+    def metric_operator(self) -> np.ndarray:
+        """M = u^H H_a (one row) or P H_a, as the real (12K, 2m) matrix A
+        with d.view(float) @ A = the real and imaginary parts of M d,
+        interleaved."""
+        h_a = self.partition.H_a
+        m = (np.conj(self.u_us)[None] @ h_a if self.mode == SMALLEST_SINGULAR
+             else self.null_projector @ h_a)
+        a = np.empty((2 * m.shape[1], 2 * m.shape[0]))
+        a[0::2, 0::2] = m.real.T
+        a[1::2, 0::2] = -m.imag.T
+        a[0::2, 1::2] = m.imag.T
+        a[1::2, 1::2] = m.real.T
+        return a
 
 
 def build_central_model(partition: PartitionedSystem) -> CentralModel:
@@ -85,49 +98,73 @@ def build_central_model(partition: PartitionedSystem) -> CentralModel:
     return CentralModel(partition=partition, mode=NULL_PROJECTOR, null_projector=proj)
 
 
+def central_xs(model: CentralModel, D: np.ndarray) -> np.ndarray:
+    """Scale-invariant steady-state inconsistency x = ||M d||^2 / ||d||^2 of
+    every row d of D (n, 6K); NaN where ||d|| is zero or not finite.
+
+    Real arithmetic, with one stacked product that makes the same BLAS call
+    for every row and sums along each row, so a row's bits do not depend on
+    how many rows D has.
+    """
+    dv = np.ascontiguousarray(D, dtype=complex).view(float)
+    r = np.matmul(dv[:, None, :], model.metric_operator)[:, 0, :]
+    with np.errstate(all="ignore"):
+        den = (dv * dv).sum(axis=1)
+        x = (r * r).sum(axis=1) / den
+    x[~((den > 0.0) & (den < np.inf))] = np.nan
+    return x
+
+
 def central_metric(model: CentralModel, d_a: np.ndarray) -> float:
-    """Scale-invariant steady-state inconsistency of one fused sample."""
-    d_a = np.asarray(d_a, dtype=complex)
-    denom = float(np.vdot(d_a, d_a).real)
-    if denom <= 0.0:
-        raise ValueError("zero measurement vector")
-    if model.mode == SMALLEST_SINGULAR:
-        y = complex(model.u_conj @ (model.partition.H_a @ d_a))
-        return float(abs(y) ** 2 / denom)
-    r = model.null_projector @ (model.partition.H_a @ d_a)
-    return float(np.vdot(r, r).real / denom)
+    """`central_xs` of one fused sample; ValueError for a zero or non-finite one."""
+    x = float(central_xs(model, np.asarray(d_a, dtype=complex)[None])[0])
+    if not math.isfinite(x):
+        raise ValueError("zero or non-finite measurement vector")
+    return x
 
 
 @dataclass(frozen=True)
-class FusedSample:
-    k: int
-    d_a: np.ndarray
-    completeness: tuple[bool, ...]  # per sensor, placement order
+class FusedBlock:
+    """Consecutive fused samples: row r of D is d_a at sample ks[r]."""
+    ks: list[int]
+    D: np.ndarray          # complex (n, 6K): injections, then voltages, per sensor
+    complete: np.ndarray   # bool (n,): every sensor delivered the sample
 
 
-def fuse_frames(model: CentralModel, frames: dict[int, "PhasorFrame"], k: int) -> FusedSample:
-    """Stack per-sensor frames into d_a = (injections, voltages) at sample k.
+def fuse_frames(model: CentralModel,
+                released: list[tuple[int, dict[int, "PhasorFrame"]]]) -> FusedBlock:
+    """Stack released (k, frames) sets, at least one, into one block of d_a
+    rows.
 
     The net current injection of a sensed bus is the sum of its incident
     line currents, added in order onto zero; ordering matches the
-    partition's column maps. A missing sensor contributes zeros.
+    partition's column maps. A missing sensor contributes zeros. Each
+    sensor's voltages and currents are gathered with one array per block;
+    a frame with fewer lines is padded with +0 currents, which leave a sum
+    begun at +0 unchanged.
     """
     buses = model.sensor_buses
-    cur = []
-    vol = []
-    for b in buses:
-        f = frames.get(b)
-        if f is None:
-            cur.append(_ZERO3)
-            vol.append(_ZERO3)
-            continue
-        inj = _ZERO3
-        for i in f.i_lines.values():
-            inj = inj + i
-        cur.append(inj)
-        vol.append(f.v)
-    return FusedSample(k=k, d_a=np.concatenate(cur + vol),
-                       completeness=tuple(b in frames for b in buses))
+    n = len(released)
+    D = np.zeros((n, 2, len(buses), 3), dtype=complex)
+    complete = np.ones(n, dtype=bool)
+    for j, b in enumerate(buses):
+        rows = []
+        for r, (_, frames) in enumerate(released):
+            f = frames.get(b)
+            if f is None:
+                complete[r] = False
+                rows.append((_ZERO3,))
+            else:
+                rows.append((f.v, *f.i_lines.values()))
+        width = max(map(len, rows), default=1)
+        if any(len(row) < width for row in rows):
+            rows = [row + (_ZERO3,) * (width - len(row)) for row in rows]
+        A = np.concatenate([a for row in rows for a in row], dtype=complex).reshape(n, width, 3)
+        D[:, 1, j] = A[:, 0]
+        inj = D[:, 0, j]
+        for line in range(1, width):
+            inj += A[:, line]
+    return FusedBlock(ks=[k for k, _ in released], D=D.reshape(n, -1), complete=complete)
 
 
 @dataclass(frozen=True)
@@ -152,35 +189,52 @@ class CentralChangeRecord:
 
 
 class CentralChangeTracker:
-    """CUSUM + segmentation over the x[k] series, with gap accounting."""
+    """CUSUM + segmentation over the x[k] series, with gap accounting.
 
-    def __init__(self, model: CentralModel, cfg: Config | None = None):
+    `step` takes a fused block; a single sample is a block of one, and the
+    records do not depend on where the stream is cut. Each block's samples
+    with a value go to `sink(ks, xs)`, so the tracker itself keeps no
+    per-sample history.
+    """
+
+    def __init__(self, model: CentralModel, cfg: Config | None = None,
+                 sink: Callable[[list[int], list[float]], None] | None = None):
         self.model = model
         self.cfg = cfg = cfg or Config()
+        self.sink = sink
         self.det = DetectorState.from_config(cfg)
         self.seg = EventSegmenter(cfg.t1, cfg.t2, span=True)
-        self.gaps = 0
-        self.skipped = 0
-        self.xs: list[tuple[int, float]] = []
+        self.gaps = 0      # samples with a sensor missing
+        self.skipped = 0   # complete samples whose d_a is zero or not finite
         self._change_ks: list[int] = []
 
-    def step(self, sample: FusedSample) -> list[CentralChangeRecord]:
-        if not all(sample.completeness):
-            self.gaps += 1
-            return []
-        try:
-            x = central_metric(self.model, sample.d_a)
-        except ValueError:
-            self.skipped += 1
-            return []
-        self.xs.append((sample.k, x))
-        changed = cusum_step(self.det, x)
-        if changed:
-            if not self.seg.open:
+    def step(self, block: FusedBlock) -> list[CentralChangeRecord]:
+        x = central_xs(self.model, block.D)
+        n_complete = int(np.count_nonzero(block.complete))
+        keep = block.complete & np.isfinite(x)
+        self.gaps += len(block.ks) - n_complete
+        self.skipped += n_complete - int(np.count_nonzero(keep))
+        ks = [k for k, ok in zip(block.ks, keep.tolist()) if ok]
+        xs = x[keep].tolist()
+        if self.sink is not None:
+            self.sink(ks, xs)
+        changed, zabs = cusum_run(self.det, xs)
+        opens: list[int] = []
+        emitted = self.seg.run(ks, changed, zabs, opens=opens)
+        changes = [j for j, c in enumerate(changed) if c]
+        # replay change points and emissions in stream order, a change
+        # before an emission at the same sample
+        opened = set(opens)
+        out = []
+        for j, seg in sorted([(j, None) for j in changes] + emitted,
+                             key=lambda t: (t[0], t[1] is not None)):
+            if seg is not None:
+                out.append(self._record(seg))
+                continue
+            if j in opened:
                 self._change_ks = []
-            self._change_ks.append(sample.k)
-        return [self._record(s)
-                for s in self.seg.step(sample.k, changed, abs(self.det.last_z))]
+            self._change_ks.append(ks[j])
+        return out
 
     def finish(self) -> list[CentralChangeRecord]:
         return [self._record(s) for s in self.seg.flush()]

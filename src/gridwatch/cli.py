@@ -203,13 +203,15 @@ def cmd_serve_central(args) -> int:
     feeder = load_feeder(find_feeder(args.feeder))
     placement = Placement(_parse_buses(args.placement))
     ready = threading.Event()
-    result = serve_central((args.host, args.port or cfg.port), feeder, placement,
-                           cfg, ready=ready, timeout_s=args.timeout)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "central_x.csv", "w") as xcsv:
+        xcsv.write("k,x\n")
+        result = serve_central(
+            (args.host, args.port or cfg.port), feeder, placement, cfg, ready=ready,
+            timeout_s=args.timeout,
+            sink=lambda ks, xs: xcsv.write("".join(f"{k},{x!r}\n" for k, x in zip(ks, xs))))
     (outdir / "eventlog.jsonl").write_text(result.event_log.to_jsonl(epoch=args.epoch))
-    xcsv = ["k,x"] + [f"{k},{x!r}" for k, x in result.xs]
-    (outdir / "central_x.csv").write_text("\n".join(xcsv) + "\n")
     gaps = sum(s.gaps for s in result.sessions.values())
     print(f"sessions={len(result.sessions)} gaps={gaps} rejected={result.rejected}; "
           f"wrote {outdir}/eventlog.jsonl")

@@ -2,14 +2,18 @@
 
 The CLI `analyze` path runs this. The networked processes in
 `transport.py` do not call `run_offline`; they run the same local engine
-per sensor and the same central tracker, and they group frames by sample
+per sensor and feed the same block tracker, and they group frames by sample
 index k the same way: a sensor missing at k counts as a gap in both.
 
-Offline, each local engine takes its stream in blocks of `BLOCK_FRAMES`
-frames (`LocalEngine.run`); `serve-local` runs the same kernels one frame
-at a time (`LocalEngine.step`, a block of one). A local engine's reports
-do not depend on where its stream is cut, and that together with the
-shared grouping keeps the two event logs byte-identical on the same inputs.
+Both engines run in blocks. Offline, each local engine takes its stream in
+blocks of `BLOCK_FRAMES` frames (`LocalEngine.run`), and the central
+tracker takes the samples grouped by k in blocks of `BLOCK_FRAMES`
+(`fuse_frames`, `CentralChangeTracker.step`). `serve-local` runs the local
+kernels one frame at a time (`LocalEngine.step`, a block of one), and
+`serve-central` fuses whatever one socket read releases as one block.
+Neither engine's output depends on where its stream is cut, and that
+together with the shared grouping keeps the two event logs byte-identical
+on the same inputs.
 """
 from __future__ import annotations
 
@@ -21,8 +25,8 @@ from .central import (CentralChangeRecord, CentralChangeTracker, EventLog,
 from .config import Config
 from .model import FeederModel, Placement, build_system, partition
 
-# frames per LocalEngine.run call: enough to amortise the per-call work,
-# few enough that the derived columns of a block stay small
+# frames per LocalEngine.run call, and samples per central block: enough to
+# amortise the per-call work, few enough that a block's arrays stay small
 BLOCK_FRAMES = 1024
 
 
@@ -40,9 +44,9 @@ def line_ratings_at(feeder: FeederModel, bus: int) -> dict:
     return {l.id: l.rated_current for l in feeder.lines_at(bus)}
 
 
-def blocks(frames: list[PhasorFrame]):
-    """The stream cut into consecutive blocks of at most BLOCK_FRAMES frames."""
-    return (frames[s:s + BLOCK_FRAMES] for s in range(0, len(frames), BLOCK_FRAMES))
+def blocks(items: list):
+    """A stream cut into consecutive blocks of at most BLOCK_FRAMES items."""
+    return (items[s:s + BLOCK_FRAMES] for s in range(0, len(items), BLOCK_FRAMES))
 
 
 def run_local_engine(feeder: FeederModel, bus: int, frames: list[PhasorFrame],
@@ -73,18 +77,19 @@ def run_offline(feeder: FeederModel, placement: Placement,
         local_reports[bus] = run_local_engine(feeder, bus, local_streams.get(bus, []), cfg)
 
     model = build_central_model(partition(build_system(feeder), placement))
-    tracker = CentralChangeTracker(model, cfg)
+    xs: list[tuple[int, float]] = []
+    tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
     by_k: dict[int, dict[int, PhasorFrame]] = {}
     for bus in placement.sensor_buses:
         for f in central_streams.get(bus, []):
             by_k.setdefault(f.k, {})[bus] = f
     records: list[CentralChangeRecord] = []
-    for k in sorted(by_k):
-        records.extend(tracker.step(fuse_frames(model, by_k[k], k)))
+    for block in blocks(sorted(by_k.items())):
+        records.extend(tracker.step(fuse_frames(model, block)))
     records.extend(tracker.finish())
 
     flat = [(str(bus), r) for bus, reps in sorted(local_reports.items()) for r in reps]
     log = fuse_reports(flat, records)
-    return PipelineResult(event_log=log, xs=tracker.xs, local_reports=local_reports,
+    return PipelineResult(event_log=log, xs=xs, local_reports=local_reports,
                           central_records=records, gaps=tracker.gaps,
                           skipped=tracker.skipped)

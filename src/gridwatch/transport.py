@@ -15,6 +15,7 @@ import struct
 import threading
 import time
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -472,14 +473,14 @@ def serve_local(frames, sensor: int, central_addr: tuple[str, int],
 @dataclass
 class CentralResult:
     event_log: EventLog
-    xs: list[tuple[int, float]]
+    xs: list[tuple[int, float]]   # (k, x) pairs, unless a sink took them
     sessions: dict[int, SessionState] = field(default_factory=dict)
     rejected: int = 0
     protocol_errors: int = 0  # sessions ended by a message that failed to decode
     stale_releases: int = 0   # samples fused with a sensor missing
     late: int = 0             # frames for an already fused sample, dropped
     gaps: int = 0             # incomplete samples the tracker skipped
-    skipped: int = 0          # samples with a zero measurement vector
+    skipped: int = 0          # samples whose d_a is zero or not finite
 
 
 @dataclass
@@ -492,34 +493,44 @@ class _Link:
 def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                   placement: Placement, cfg: Config | None = None,
                   ready: threading.Event | None = None,
-                  timeout_s: float = 60.0) -> CentralResult:
+                  timeout_s: float = 60.0,
+                  sink: Callable[[list[int], list[float]], None] | None = None
+                  ) -> CentralResult:
     """Accept one session per sensor, fuse frames by k, run the central rule.
 
     One thread does all the work. A selector watches the listening socket
     and every session; a readable session gets one recv, and every complete
-    message in its buffer is handled before the next select, so samples are
-    fused as soon as the watermark releases them. Returns as soon as every
-    expected sensor's last session has ended with Bye, or at the timeout; a
-    sensor whose session ends by EOF, a reset or a protocol error is still
-    expected back. Unknown sensors, and a second live session of one sensor,
-    are rejected; duplicate k keeps the first frame. A session that ends in
-    any of these ways stops holding samples back; samples still pending at
-    the timeout are released as they are.
+    message in its buffer is handled before the next select. The samples
+    that the watermark releases meanwhile are fused as one block before the
+    next select. Returns as soon as every expected sensor's last session has
+    ended with Bye, or at the timeout; a sensor whose session ends by EOF, a
+    reset or a protocol error is still expected back. Unknown sensors, and a
+    second live session of one sensor, are rejected; duplicate k keeps the
+    first frame. A session that ends in any of these ways stops holding
+    samples back; samples still pending at the timeout are released as they
+    are.
+
+    Each fused block's (k, x) pairs go to `sink`; without one they are
+    collected in the result's `xs`.
     """
     cfg = cfg or Config()
     expected = set(placement.sensor_buses)
     model = build_central_model(partition(build_system(feeder), placement))
-    tracker = CentralChangeTracker(model, cfg)
+    xs: list[tuple[int, float]] = []
+    tracker = CentralChangeTracker(model, cfg,
+                                   sink=sink or (lambda ks, x: xs.extend(zip(ks, x))))
     aligner = FrameAligner(expected)
+    released: list[tuple[int, dict]] = []   # released by the current read, not fused yet
     sessions: dict[int, SessionState] = {}
     reports: list[tuple[str, AnomalyReport]] = []
     records = []
     rejected = protocol_errors = 0
     finished = False
 
-    def step(released):
-        for k, frames in released:
-            records.extend(tracker.step(fuse_frames(model, frames, k)))
+    def fuse():
+        if released:
+            records.extend(tracker.step(fuse_frames(model, released)))
+            released.clear()
 
     def admit(link: _Link, hello: Message) -> bool:
         """Bind the session to the Hello's sensor; False to reject it."""
@@ -543,7 +554,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
             state = sessions[link.sensor]
             state.connected = False
             state.done = bye
-            step(aligner.end(link.sensor))
+            released.extend(aligner.end(link.sensor))
             finished = (len(sessions) == len(expected)
                         and all(s.done for s in sessions.values()))
 
@@ -581,7 +592,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                         return
                 elif msg.kind == FRAME:
                     if sessions[link.sensor].observe(msg.k):
-                        step(aligner.push(link.sensor, msg.frame))
+                        released.extend(aligner.push(link.sensor, msg.frame))
                 elif msg.kind == REPORT:
                     reports.append((str(link.sensor), msg.report))
                 elif msg.kind == BYE:
@@ -607,18 +618,20 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                         accept()
                     else:
                         receive(key.fileobj, key.data)
+                        fuse()
                     if finished:
                         break
         finally:
             for key in sel.get_map().values():
                 key.fileobj.close()
 
-    step(aligner.flush())
+    released.extend(aligner.flush())
+    fuse()
     records.extend(tracker.finish())
     reports.sort(key=lambda p: (p[0], p[1].rule, p[1].bus, p[1].line or "",
                                 p[1].start_k, p[1].end_k if p[1].end_k is not None else -1))
     log = fuse_reports(reports, records)
-    return CentralResult(event_log=log, xs=tracker.xs, sessions=sessions,
+    return CentralResult(event_log=log, xs=xs, sessions=sessions,
                          rejected=rejected, protocol_errors=protocol_errors,
                          stale_releases=aligner.stale_releases,
                          late=aligner.late, gaps=tracker.gaps, skipped=tracker.skipped)

@@ -10,7 +10,7 @@ import pytest
 
 from gridwatch.analytics import (DetectorState, WindowBuffer, classify_voltage,
                                  cusum_step, qss_correlations, qss_residual)
-from gridwatch.central import build_central_model, central_metric, fuse_frames
+from gridwatch.central import build_central_model, central_xs, fuse_frames
 from gridwatch.config import Config
 from gridwatch.model import Placement, build_system, load_feeder, partition, reduce_laterals
 from gridwatch.pipeline import run_offline
@@ -102,10 +102,9 @@ def test_criterion_4_central_metric_exactness(ieee34):
                   noise_sigma=0.0, sensors=toy.bus_ids, seed=1)
     streams, _ = generate(sc, toy)
     model = build_central_model(partition(build_system(toy), Placement(toy.bus_ids)))
-    worst = 0.0
-    for k in range(len(streams[1])):
-        fused = fuse_frames(model, {b: streams[b][k] for b in toy.bus_ids}, k)
-        worst = max(worst, central_metric(model, fused.d_a))
+    fused = fuse_frames(model, [(k, {b: streams[b][k] for b in toy.bus_ids})
+                                for k in range(len(streams[1]))])
+    worst = float(np.max(central_xs(model, fused.D)))
     null_ok = worst <= 1e-18
 
     # separation under the smallest-singular projection with a sensed fault

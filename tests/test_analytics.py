@@ -11,7 +11,8 @@ from gridwatch.analytics import (OVERCURRENT, QSS_VALIDITY, VOLTAGE_MAG, Detecto
                                  PhasorFrame, WindowBuffer, check_overcurrent,
                                  classify_trend, classify_voltage, complex_power,
                                  cusum_step, estimate_frequency_drift,
-                                 qss_correlations, qss_residual, segment_events)
+                                 positive_sequence, qss_correlations, qss_residual,
+                                 segment_events)
 from gridwatch.config import Config
 
 
@@ -105,16 +106,13 @@ def test_frequency_step_response_half_life():
     beta1 = 2 * np.pi * 5 / 120.0
     tr = FrequencyTracker(lam)
     prev = balanced()
-    tr.update(prev)
-    for _ in range(100):  # settle at zero drift
-        tr.update(prev)
-    crossed = None
+    vs = [prev] * 101   # settle at zero drift
     v = prev
     for n in range(1, 300):
         v = v * np.exp(1j * beta1)
-        b = tr.update(v)
-        if crossed is None and b >= beta1 / 2:
-            crossed = n
+        vs.append(v)
+    betas = tr.track(positive_sequence(np.array(vs)).tolist())[101:]
+    crossed = next((n for n, b in enumerate(betas, start=1) if b >= beta1 / 2), None)
     assert crossed is not None
     assert crossed <= int(np.ceil(np.log(2) / (1 - lam)))
 
@@ -122,13 +120,12 @@ def test_frequency_step_response_half_life():
 def test_frequency_zero_sequence_holds_estimate():
     tr = FrequencyTracker()
     beta = 0.01
-    v = balanced()
-    tr.update(v)
+    vs = [balanced()]
     for _ in range(5):
-        v = v * np.exp(1j * beta)
-        tr.update(v)
+        vs.append(vs[-1] * np.exp(1j * beta))
+    tr.track(positive_sequence(np.array(vs)).tolist())
     held = tr.beta_hat
-    tr.update(np.zeros(3, dtype=complex))
+    tr.track(positive_sequence(np.zeros(3, dtype=complex)).tolist())
     assert tr.beta_hat == held
     assert tr.quality_drops == 1
 
@@ -406,7 +403,7 @@ def test_qss_events_are_transient():
 
 
 def test_central_change_ks_persistent_then_closed(monkeypatch):
-    monkeypatch.setattr(central, "central_metric", lambda model, d_a: float(d_a[0].real))
+    monkeypatch.setattr(central, "central_xs", lambda model, D: D[:, 0].real.copy())
     cfg = Config(warmup=5, t1=40, t2=2)
     rng = np.random.default_rng(3)
     xs = rng.normal(size=400) + np.concatenate(
@@ -421,8 +418,8 @@ def test_central_change_ks_persistent_then_closed(monkeypatch):
     tracker = central.CentralChangeTracker(None, cfg)
     recs = []
     for k, x in enumerate(xs):
-        recs += tracker.step(central.FusedSample(k=k, d_a=np.array([x + 0j]),
-                                                 completeness=(True,)))
+        recs += tracker.step(central.FusedBlock(ks=[k], D=np.array([[x + 0j]]),
+                                                complete=np.array([True])))
     recs += tracker.finish()
     assert [(r.start_k, r.end_k, r.change_ks) for r in recs] == [
         (first[0], None, tuple(first[:cfg.t2 + 1])), (first[0], first[-1], tuple(first)),

@@ -4,8 +4,9 @@ import pytest
 from gridwatch.analytics import AnomalyReport, PhasorFrame
 from gridwatch.central import (NULL_PROJECTOR, SMALLEST_SINGULAR,
                                CentralChangeRecord, CentralChangeTracker,
-                               EventLog, build_central_model, central_metric,
-                               fuse_frames, fuse_reports, phase_normalize,
+                               EventLog, FusedBlock, build_central_model,
+                               central_metric, central_xs, fuse_frames,
+                               fuse_reports, phase_normalize,
                                smallest_left_singular_vector)
 from gridwatch.config import Config
 from gridwatch.model import Placement, build_system, partition
@@ -133,12 +134,14 @@ def test_fuse_frames_ordering_and_completeness(ieee34_system):
                        i_lines={"6-7": np.full(3, 0.1 + 0j), "7-8": np.full(3, 0.2 + 0j)}),
         31: PhasorFrame(k=0, bus=31, v=np.full(3, 2 + 0j), i_lines={}),
     }
-    fused = fuse_frames(model, frames, 0)
-    assert fused.completeness == (True, False, True)
-    assert np.allclose(fused.d_a[0:3], 0.3)      # injections of bus 7
-    assert np.allclose(fused.d_a[3:6], 0.0)      # missing sensor 19
-    assert np.allclose(fused.d_a[9:12], 1.0)     # voltage of bus 7
-    assert np.allclose(fused.d_a[15:18], 2.0)    # voltage of bus 31
+    fused = fuse_frames(model, [(0, frames)])
+    assert fused.ks == [0]
+    assert fused.complete.tolist() == [False]     # sensor 19 is missing
+    d_a = fused.D[0]
+    assert np.allclose(d_a[0:3], 0.3)      # injections of bus 7
+    assert np.allclose(d_a[3:6], 0.0)      # missing sensor 19
+    assert np.allclose(d_a[9:12], 1.0)     # voltage of bus 7
+    assert np.allclose(d_a[15:18], 2.0)    # voltage of bus 31
 
 
 def _fuse_reference(model, frames):
@@ -160,6 +163,9 @@ def _fuse_reference(model, frames):
 
 
 def test_fuse_frames_matches_loop_reference_bitwise(ieee34_system):
+    """Every row of a block, and the same sets fused one at a time, equal the
+    loop reference, also where a sensor is missing or one of its frames has
+    fewer lines than the others in the block."""
     model = build_central_model(partition(ieee34_system, Placement((7, 19, 31))))
     rng = np.random.default_rng(4)
 
@@ -167,18 +173,81 @@ def test_fuse_frames_matches_loop_reference_bitwise(ieee34_system):
         return rng.normal(size=3) * 10.0 ** rng.integers(-8, 8, size=3) + 1j * rng.normal(size=3)
 
     special = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 1.0)])
+    released = []
     for trial in range(20):
+        lines7 = {"6-7": special.copy(), "7-8": c3(), "7-9": c3()}
+        if trial % 3 == 1:
+            del lines7["7-9"]
         frames = {
-            7: PhasorFrame(k=0, bus=7, v=special.copy(),
-                           i_lines={"6-7": c3(), "7-8": c3(), "7-9": c3()}),
-            19: PhasorFrame(k=0, bus=19, v=c3(),
+            7: PhasorFrame(k=trial, bus=7, v=special.copy(), i_lines=lines7),
+            19: PhasorFrame(k=trial, bus=19, v=c3(),
                             i_lines={"18-19": special.copy() if trial % 2 else c3()}),
-            31: PhasorFrame(k=0, bus=31, v=c3(), i_lines={}),
+            31: PhasorFrame(k=trial, bus=31, v=c3(), i_lines={}),
         }
         if trial % 4 == 2:
             del frames[19]
-        fused = fuse_frames(model, frames, 0)
-        assert fused.d_a.tobytes() == _fuse_reference(model, frames).tobytes()
+        released.append((trial, frames))
+    block = fuse_frames(model, released)
+    assert block.ks == list(range(20))
+    assert block.complete.tolist() == [t % 4 != 2 for t in range(20)]
+    for (k, frames), row in zip(released, block.D):
+        assert row.tobytes() == _fuse_reference(model, frames).tobytes()
+        assert fuse_frames(model, [(k, frames)]).D.tobytes() == row.tobytes()
+
+
+def _metric_models(ieee34_system):
+    """One model per mode: smallest-singular on ieee34, and null-projector
+    with P = I (every bus sensed) and with a proper projector (K > B/2)."""
+    rng = np.random.default_rng(2)
+    toy = build_system(toy_feeder(5, y=2.0 - 1.0j))
+    sysm = build_system(random_radial_feeder(rng, n_bus=5, p_lateral=0.0))
+    models = [build_central_model(partition(ieee34_system, Placement((7, 19, 31)))),
+              build_central_model(partition(toy, Placement(toy.feeder.bus_ids))),
+              build_central_model(partition(sysm, Placement((1, 2, 3, 4))))]
+    assert [m.mode for m in models] == [SMALLEST_SINGULAR, NULL_PROJECTOR, NULL_PROJECTOR]
+    return models
+
+
+def test_central_xs_independent_of_block_length(ieee34_system):
+    """A row's x is the same bits alone and inside blocks of any length."""
+    rng = np.random.default_rng(12)
+    for model in _metric_models(ieee34_system):
+        cols = 6 * len(model.sensor_buses)
+        scale = 10.0 ** rng.integers(-4, 4, size=(5000, cols))
+        D = scale * (rng.normal(size=(5000, cols)) + 1j * rng.normal(size=(5000, cols)))
+        alone = np.array([central_xs(model, D[r:r + 1])[0] for r in range(5000)])
+        for length in (2, 7, 1024, 5000):
+            cut = np.concatenate([central_xs(model, D[s:s + length])
+                                  for s in range(0, 5000, length)])
+            assert cut.tobytes() == alone.tobytes(), (model.mode, length)
+        # and the block kernel is the subspace metric, to rounding
+        if model.mode == SMALLEST_SINGULAR:
+            y = D @ (np.conj(model.u_us) @ model.partition.H_a)
+            ref = np.abs(y) ** 2
+        else:
+            r = D @ (model.null_projector @ model.partition.H_a).T
+            ref = np.sum(np.abs(r) ** 2, axis=1)
+        ref /= np.sum(np.abs(D) ** 2, axis=1)
+        assert np.allclose(alone, ref, rtol=1e-10, atol=0.0)
+
+
+def test_central_xs_nan_for_zero_or_non_finite_rows(ieee34_system):
+    model = build_central_model(partition(ieee34_system, Placement((7, 19, 31))))
+    D = np.ones((4, 18), dtype=complex)
+    D[1] = 0.0
+    D[2, 5] = complex(np.nan, 0.0)
+    D[3, 0] = np.inf
+    x = central_xs(model, D)
+    assert np.isfinite(x[0]) and np.isnan(x[1:]).all()
+    for row in D[1:]:
+        with pytest.raises(ValueError):
+            central_metric(model, row)
+
+
+def _block(ks, D, complete=None):
+    D = np.asarray(D, dtype=complex)
+    complete = np.ones(len(ks), dtype=bool) if complete is None else np.asarray(complete)
+    return FusedBlock(ks=list(ks), D=D, complete=complete)
 
 
 def test_tracker_steady_stream_no_changes(ieee34_system):
@@ -188,9 +257,8 @@ def test_tracker_steady_stream_no_changes(ieee34_system):
     tracker = CentralChangeTracker(model, Config())
     d = _consistent_d(ieee34_system, rng)
     da = d[part.avail_columns]
-    from gridwatch.central import FusedSample
     for k in range(500):
-        recs = tracker.step(FusedSample(k=k, d_a=da, completeness=(True, True, True)))
+        recs = tracker.step(_block([k], da[None]))
         assert recs == []
     assert tracker.finish() == []
 
@@ -199,10 +267,126 @@ def test_tracker_counts_gaps(ieee34_system):
     part = partition(ieee34_system, Placement((7, 19, 31)))
     model = build_central_model(part)
     tracker = CentralChangeTracker(model, Config())
-    from gridwatch.central import FusedSample
-    tracker.step(FusedSample(k=0, d_a=np.zeros(18, dtype=complex),
-                             completeness=(True, False, True)))
+    tracker.step(_block([0], np.zeros((1, 18)), [False]))
     assert tracker.gaps == 1
+    assert tracker.skipped == 0
+
+
+def test_tracker_skips_non_finite_samples(monkeypatch):
+    """A NaN x is skipped and counted; the detector goes on as if the sample
+    had never come, so a later step still opens its record."""
+    from gridwatch import central
+    monkeypatch.setattr(central, "central_xs", lambda model, D: D[:, 0].real.copy())
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=2000)
+    xs[1000:1100] += 50.0
+
+    def run(ks, xs):
+        tracker = CentralChangeTracker(None, Config())
+        recs = tracker.step(_block(ks, xs[:, None]))
+        return recs + tracker.finish(), tracker.skipped
+
+    with_nan = xs.copy()
+    with_nan[500] = np.nan
+    got, skipped = run(range(2000), with_nan)
+    kept = [k for k in range(2000) if k != 500]
+    assert (got, skipped) == (run(kept, xs[kept])[0], 1)
+    assert any(r.start_k == 1000 for r in got)
+
+
+def test_tracker_skips_non_finite_measurements(ieee34_system):
+    """Zero and non-finite d_a are counted in `skipped` and give no x row."""
+    rng = np.random.default_rng(10)
+    part = partition(ieee34_system, Placement((7, 19, 31)))
+    model = build_central_model(part)
+    D = np.tile(_consistent_d(ieee34_system, rng)[part.avail_columns], (5, 1))
+    D[1] = 0.0
+    D[3, 2] = complex(np.nan, np.nan)
+    got = []
+    tracker = CentralChangeTracker(model, Config(), sink=lambda ks, x: got.extend(zip(ks, x)))
+    tracker.step(_block(range(5), D, [True, True, True, True, False]))
+    assert (tracker.skipped, tracker.gaps) == (2, 1)
+    assert [k for k, _ in got] == [0, 2]
+    assert all(np.isfinite(x) for _, x in got)
+
+
+def _released_stream(ieee34):
+    """The fault_at_sensor scenario's samples grouped by k, with more noise,
+    sensor 19 missing at some samples and a NaN frame at another."""
+    from dataclasses import replace
+    from gridwatch.synth import Scenario, generate
+    from conftest import scenario_path
+
+    sc = Scenario.from_json(scenario_path("fault_at_sensor").read_text())
+    streams, _ = generate(replace(sc, noise_sigma=1e-3), ieee34)
+    by_k: dict = {}
+    for b, frames in streams.items():
+        for f in frames:
+            by_k.setdefault(f.k, {})[b] = f
+    for k in (40, 41, 450):
+        by_k[k].pop(19, None)
+    f = by_k[300][7]
+    by_k[300][7] = PhasorFrame(k=f.k, bus=7, v=np.full(3, complex(np.nan, 0.0)),
+                               i_lines=f.i_lines)
+    return sc, sorted(by_k.items())
+
+
+def _track(model, released, cuts):
+    xs = []
+    tracker = CentralChangeTracker(model, Config(t2=1),
+                                   sink=lambda ks, x: xs.extend(zip(ks, x)))
+    recs = []
+    for a, b in zip([0] + cuts, cuts + [len(released)]):
+        recs += tracker.step(fuse_frames(model, released[a:b]))
+    recs += tracker.finish()
+    return xs, recs, (tracker.gaps, tracker.skipped)
+
+
+def test_tracker_independent_of_block_cuts(ieee34):
+    """One fused stream in blocks of one, in random cuts and in one block
+    gives the same x series, records, change points and counters."""
+    sc, released = _released_stream(ieee34)
+    model = build_central_model(partition(build_system(ieee34), Placement(sc.sensors)))
+    n = len(released)
+    ref = _track(model, released, list(range(1, n)))
+    assert any(r.end_k is None for r in ref[1])           # a persistent emission
+    assert any(len(r.change_ks) > 1 for r in ref[1])
+    assert ref[2] == (3, 1)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=40, replace=False))
+        assert _track(model, released, cuts) == ref
+    assert _track(model, released, []) == ref
+
+
+def test_tracker_memory_flat_over_long_runs(ieee34_system):
+    """The tracker keeps no per-sample history: 100k samples retain what
+    2k do."""
+    import tracemalloc
+
+    model = build_central_model(partition(ieee34_system, Placement((7, 19, 31))))
+
+    def run(n):
+        rng = np.random.default_rng(1)
+        tracker = CentralChangeTracker(model, Config())
+        for s in range(0, n, 1000):
+            D = rng.normal(size=(1000, 18)) + 1j * rng.normal(size=(1000, 18))
+            tracker.step(_block(range(s, s + 1000), D))
+        return tracker
+
+    def retained(n):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = run(n)
+            grown = tracemalloc.get_traced_memory()[0] - before
+            del kept
+            return grown
+        finally:
+            tracemalloc.stop()
+
+    growth = retained(100_000) - retained(2_000)
+    assert growth < 50_000, growth
 
 
 # ---------------------------------------------------------------- fusion

@@ -369,3 +369,30 @@ def test_serve_central_counts_protocol_errors(tmp_path, capsys):
     assert re.search(r"^warning: central fusion incomplete: stale_releases=0 late=0 "
                      r"central_gaps=0 skipped=0 unfinished=0 protocol_errors=1$",
                      captured.err, re.M)
+
+
+def test_serve_central_counts_non_finite_sample(tmp_path, capsys):
+    """A frame of NaNs is skipped and counted, gives no central_x.csv row,
+    and leaves the detector running."""
+    import re
+    import numpy as np
+    from conftest import raw_sensor_session
+    from gridwatch.analytics import PhasorFrame
+
+    def send19(port, frames):
+        f = frames[10]
+        nan3 = np.full(3, complex(np.nan, np.nan))
+        frames = list(frames)
+        frames[10] = PhasorFrame(k=f.k, bus=f.bus, v=nan3,
+                                 i_lines={lid: nan3 for lid in f.i_lines})
+        raw_sensor_session(port, 19, frames, bye=True)
+
+    rc, n19 = _serve_central_with(tmp_path, send19)
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert re.search(r"^warning: central fusion incomplete: stale_releases=0 late=0 "
+                     r"central_gaps=0 skipped=1 unfinished=0 protocol_errors=0$",
+                     captured.err, re.M)
+    rows = (tmp_path / "out" / "central_x.csv").read_text().splitlines()
+    assert rows[0] == "k,x" and len(rows) == n19
+    assert "10" not in [r.split(",")[0] for r in rows] and "nan" not in "".join(rows)
