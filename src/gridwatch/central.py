@@ -10,14 +10,13 @@ the grid is quasi steady-state.
 from __future__ import annotations
 
 import json
-import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .analytics import AnomalyReport, DetectorState, EventSegmenter, cusum_run
+from .analytics import AnomalyReport, DetectorState, EventSegmenter, PhasorFrame, cusum_run
 from .config import Config
 from .model import PartitionedSystem
 
@@ -115,14 +114,6 @@ def central_xs(model: CentralModel, D: np.ndarray) -> np.ndarray:
     return x
 
 
-def central_metric(model: CentralModel, d_a: np.ndarray) -> float:
-    """`central_xs` of one fused sample; ValueError for a zero or non-finite one."""
-    x = float(central_xs(model, np.asarray(d_a, dtype=complex)[None])[0])
-    if not math.isfinite(x):
-        raise ValueError("zero or non-finite measurement vector")
-    return x
-
-
 @dataclass(frozen=True)
 class FusedBlock:
     """Consecutive fused samples: row r of D is d_a at sample ks[r]."""
@@ -131,40 +122,178 @@ class FusedBlock:
     complete: np.ndarray   # bool (n,): every sensor delivered the sample
 
 
-def fuse_frames(model: CentralModel,
-                released: list[tuple[int, dict[int, "PhasorFrame"]]]) -> FusedBlock:
-    """Stack released (k, frames) sets, at least one, into one block of d_a
-    rows.
+_COLUMN_CHUNK = 1024   # frames gathered per temporary array in frame_columns
+_NO_KS = np.empty(0, dtype=np.uint64)
+_NO_VI = np.empty((0, 2, 3), dtype=complex)
 
-    The net current injection of a sensed bus is the sum of its incident
-    line currents, added in order onto zero; ordering matches the
-    partition's column maps. A missing sensor contributes zeros. Each
-    sensor's voltages and currents are gathered with one array per block;
-    a frame with fewer lines is padded with +0 currents, which leave a sum
+
+def frame_columns(frames: list[PhasorFrame]) -> tuple[np.ndarray, np.ndarray]:
+    """One sensor's frames as aligner columns: `ks` (uint64, rising strictly)
+    and `vi` (complex (m, 2, 3)), each frame's voltage and then its line
+    currents summed in `i_lines` order onto +0.
+
+    Frames are taken in k order; of two frames with one k the later wins. A
+    frame with fewer lines is padded with +0 currents, which leave a sum
     begun at +0 unchanged.
     """
-    buses = model.sensor_buses
-    n = len(released)
-    D = np.zeros((n, 2, len(buses), 3), dtype=complex)
-    complete = np.ones(n, dtype=bool)
-    for j, b in enumerate(buses):
-        rows = []
-        for r, (_, frames) in enumerate(released):
-            f = frames.get(b)
-            if f is None:
-                complete[r] = False
-                rows.append((_ZERO3,))
-            else:
-                rows.append((f.v, *f.i_lines.values()))
-        width = max(map(len, rows), default=1)
+    if not frames:
+        return _NO_KS, _NO_VI
+    ks = np.fromiter((f.k for f in frames), np.uint64, len(frames))
+    order = np.argsort(ks, kind="stable")
+    keep = order[np.append(ks[order][1:] != ks[order][:-1], True)]
+    vi = np.zeros((len(keep), 2, 3), dtype=complex)
+    for start in range(0, len(keep), _COLUMN_CHUNK):
+        rows = [(frames[i].v, *frames[i].i_lines.values())
+                for i in keep[start:start + _COLUMN_CHUNK].tolist()]
+        width = max(map(len, rows))
         if any(len(row) < width for row in rows):
             rows = [row + (_ZERO3,) * (width - len(row)) for row in rows]
-        A = np.concatenate([a for row in rows for a in row], dtype=complex).reshape(n, width, 3)
-        D[:, 1, j] = A[:, 0]
-        inj = D[:, 0, j]
+        A = np.concatenate([a for row in rows for a in row],
+                           dtype=complex).reshape(len(rows), width, 3)
+        part = vi[start:start + len(rows)]
+        part[:, 0] = A[:, 0]
         for line in range(1, width):
-            inj += A[:, line]
-    return FusedBlock(ks=[k for k, _ in released], D=D.reshape(n, -1), complete=complete)
+            part[:, 1] += A[:, line]
+    return ks[keep], vi
+
+
+@dataclass(frozen=True)
+class Released:
+    """Samples a FrameAligner released together: `ks` (uint64, ascending),
+    per sensor the rows of `ks` it delivered with their `vi` columns, and
+    which samples every sensor delivered."""
+    ks: np.ndarray
+    cols: dict[int, tuple[np.ndarray, np.ndarray]]   # sensor -> (rows, vi)
+    complete: np.ndarray
+
+
+class FrameAligner:
+    """Groups per-sensor sample columns by k on a logical watermark.
+
+    `push(sensor, ks, vi)` takes a sensor's next samples as `frame_columns`
+    lays them out. Per sensor, k must rise strictly, within a push and from
+    one push to the next; `transport.SessionState` enforces this on the
+    wire, and `frame_columns` offline.
+
+    Sample k is released once every expected sensor has delivered it, or
+    once no sensor can still deliver it: each has either delivered a later
+    k' > k or ended its session. So with w the smallest highest-delivered k
+    over the sensors that have not ended, everything pending below w is
+    released, and w itself only if every sensor delivered it. A sensor that
+    has not sent anything yet holds every k back. Sensors missing from a
+    released sample count as a gap downstream, so every caller sees the same
+    samples whatever the machine timing. No release reads a clock. Releases
+    are strictly ascending in k; a sample for an already released k is
+    dropped and counted in `late`.
+    """
+
+    def __init__(self, sensors):
+        self.sensors = frozenset(sensors)
+        self._pending = {s: (_NO_KS, _NO_VI) for s in self.sensors}
+        self._high: dict[int, int] = {}     # sensor -> highest k delivered
+        self._ended: set[int] = set()
+        self._last: int | None = None       # highest k released
+        self.stale_releases = 0             # samples released with a sensor missing
+        self.late = 0                       # samples for an already released k
+
+    @property
+    def pending(self) -> np.ndarray:
+        """The samples held back, ascending."""
+        return np.unique(np.concatenate([ks for ks, _ in self._pending.values()]))
+
+    def push(self, sensor: int, ks: np.ndarray, vi: np.ndarray) -> list[Released]:
+        if sensor not in self.sensors:
+            raise ValueError(f"sensor {sensor} is not expected")
+        self._ended.discard(sensor)
+        if self._last is not None:
+            late = int(ks.searchsorted(np.uint64(self._last), side="right"))
+            self.late += late
+            ks, vi = ks[late:], vi[late:]
+        if len(ks):
+            self._high[sensor] = int(ks[-1])
+            old_ks, old_vi = self._pending[sensor]
+            if len(old_ks):
+                ks, vi = np.concatenate((old_ks, ks)), np.concatenate((old_vi, vi))
+            self._pending[sensor] = (ks, vi)
+        return self._release()
+
+    def end(self, sensor: int) -> list[Released]:
+        """The sensor's session is over: it no longer holds any k back."""
+        self._ended.add(sensor)
+        return self._release()
+
+    def flush(self) -> list[Released]:
+        """Release everything still pending, e.g. when a run times out."""
+        return self._release(flush=True)
+
+    def _release(self, flush: bool = False) -> list[Released]:
+        live = [self._high.get(s, -1) for s in self.sensors if s not in self._ended]
+        if flush or not live:
+            cut = {s: len(ks) for s, (ks, _) in self._pending.items()}
+        else:
+            w = min(live)
+            if w < 0:
+                return []
+            cut = {s: int(ks.searchsorted(np.uint64(w))) for s, (ks, _) in self._pending.items()}
+            if all(ks[cut[s]:cut[s] + 1].tolist() == [w]
+                   for s, (ks, _) in self._pending.items()):
+                cut = {s: c + 1 for s, c in cut.items()}
+        cut = {s: c for s, c in cut.items() if c}
+        if not cut:
+            return []
+        ks_all = np.unique(np.concatenate([self._pending[s][0][:c] for s, c in cut.items()]))
+        count = np.zeros(len(ks_all), dtype=np.intp)
+        cols = {}
+        for s, c in cut.items():
+            ks, vi = self._pending[s]
+            rows = np.searchsorted(ks_all, ks[:c])
+            count[rows] += 1
+            cols[s] = (rows, vi[:c])
+            self._pending[s] = (ks[c:], vi[c:])
+        complete = count == len(self.sensors)
+        self.stale_releases += len(ks_all) - int(np.count_nonzero(complete))
+        self._last = int(ks_all[-1])
+        return [Released(ks=ks_all, cols=cols, complete=complete)]
+
+
+def group_frames(sensors, streams: dict[int, list[PhasorFrame]],
+                 block: int) -> Iterator[list[Released]]:
+    """Recorded streams grouped by k through one FrameAligner, in rounds:
+    each sensor pushes its next `block` samples, and what a round releases
+    comes out together; at the end every sensor ends."""
+    aligner = FrameAligner(sensors)
+    cols = {s: frame_columns(streams.get(s, [])) for s in sensors}
+    for start in range(0, max(len(ks) for ks, _ in cols.values()), block):
+        out = []
+        for s, (ks, vi) in cols.items():
+            out += aligner.push(s, ks[start:start + block], vi[start:start + block])
+        if out:
+            yield out
+    out = [r for s in sensors for r in aligner.end(s)]
+    if out:
+        yield out
+
+
+def fuse_frames(model: CentralModel, released: list[Released]) -> FusedBlock:
+    """Scatter released samples, at least one, into one block of d_a rows.
+
+    Per sensor in the partition's order, a row holds the summed line
+    currents (the bus's net injection) and then the voltages; a sensor
+    missing at a sample contributes zeros.
+    """
+    buses = model.sensor_buses
+    ks = np.concatenate([r.ks for r in released])
+    D = np.zeros((len(ks), 2, len(buses), 3), dtype=complex)
+    at = 0
+    for r in released:
+        for j, b in enumerate(buses):
+            col = r.cols.get(b)
+            if col is not None:
+                rows, vi = col
+                D[at + rows, :, j] = vi[:, ::-1]
+        at += len(r.ks)
+    return FusedBlock(ks=ks.tolist(), D=D.reshape(len(ks), -1),
+                      complete=np.concatenate([r.complete for r in released]))
 
 
 @dataclass(frozen=True)

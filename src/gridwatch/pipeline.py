@@ -2,15 +2,18 @@
 
 The CLI `analyze` path runs this. The networked processes in
 `transport.py` do not call `run_offline`; they run the same local engine
-per sensor and feed the same block tracker, and they group frames by sample
-index k the same way: a sensor missing at k counts as a gap in both.
+per sensor and feed the same block tracker, and both paths group frames by
+sample index k in the same `central.FrameAligner`: offline the sensors
+push their recorded streams in rounds and then end, while `serve-central`
+pushes each socket read's frames as they arrive. A sensor missing at k
+counts as a gap in both.
 
 Both engines run in blocks. Offline, each local engine takes its stream in
 blocks of `BLOCK_FRAMES` frames (`LocalEngine.run`), and the central
-tracker takes the samples grouped by k in blocks of `BLOCK_FRAMES`
-(`fuse_frames`, `CentralChangeTracker.step`). `serve-local` runs the local
-kernels one frame at a time (`LocalEngine.step`, a block of one), and
-`serve-central` fuses whatever one socket read releases as one block.
+tracker takes what each round of `BLOCK_FRAMES` samples per sensor
+releases (`fuse_frames`, `CentralChangeTracker.step`). `serve-local` runs
+the local kernels one frame at a time (`LocalEngine.step`, a block of one),
+and `serve-central` fuses whatever one socket read releases as one block.
 Neither engine's output depends on where its stream is cut, and that
 together with the shared grouping keeps the two event logs byte-identical
 on the same inputs.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .analytics import AnomalyReport, LocalEngine, PhasorFrame
 from .central import (CentralChangeRecord, CentralChangeTracker, EventLog,
-                      build_central_model, fuse_frames, fuse_reports)
+                      build_central_model, fuse_frames, fuse_reports, group_frames)
 from .config import Config
 from .model import FeederModel, Placement, build_system, partition
 
@@ -79,13 +82,9 @@ def run_offline(feeder: FeederModel, placement: Placement,
     model = build_central_model(partition(build_system(feeder), placement))
     xs: list[tuple[int, float]] = []
     tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
-    by_k: dict[int, dict[int, PhasorFrame]] = {}
-    for bus in placement.sensor_buses:
-        for f in central_streams.get(bus, []):
-            by_k.setdefault(f.k, {})[bus] = f
     records: list[CentralChangeRecord] = []
-    for block in blocks(sorted(by_k.items())):
-        records.extend(tracker.step(fuse_frames(model, block)))
+    for released in group_frames(placement.sensor_buses, central_streams, BLOCK_FRAMES):
+        records.extend(tracker.step(fuse_frames(model, released)))
     records.extend(tracker.finish())
 
     flat = [(str(bus), r) for bus, reps in sorted(local_reports.items()) for r in reps]

@@ -457,7 +457,8 @@ def read_stream_csv(path: str | Path) -> tuple[list[PhasorFrame], int]:
     """Frames from a stream CSV; returns (frames, skipped_row_count).
 
     A row is malformed, and skipped, when it does not have 15 fields, its
-    k or one of its 12 phasor parts does not parse, or a part is not finite.
+    k or one of its 12 phasor parts does not parse, k is outside the u64
+    range that sample indices take on the wire, or a part is not finite.
     """
     frames: dict[int, dict] = {}
     skipped = 0
@@ -475,6 +476,9 @@ def read_stream_csv(path: str | Path) -> tuple[list[PhasorFrame], int]:
                 k = int(parts[0])
                 x = [float(t) for t in parts[2:8] + parts[9:15]]
             except ValueError:
+                skipped += 1
+                continue
+            if not 0 <= k < 1 << 64:
                 skipped += 1
                 continue
             # a finite sum means finite parts; only an infinite one needs a closer look

@@ -7,7 +7,6 @@ event log byte for byte). Layout details in docs/protocol.md.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import selectors
 import socket
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import AnomalyReport, LocalEngine, PhasorFrame
-from .central import CentralChangeTracker, EventLog, build_central_model, fuse_frames, fuse_reports
+from .central import (CentralChangeTracker, EventLog, FrameAligner, Released,
+                      build_central_model, fuse_frames, fuse_reports)
 from .config import Config
 from .model import FeederModel, Placement, build_system, partition
 from .pipeline import line_ratings_at
@@ -71,6 +71,17 @@ class Message:
             raise MalformedError(f"unknown kind {self.kind}")
 
 
+@dataclass(frozen=True)
+class FrameRun:
+    """Consecutive frame messages of one layout, as columns: `ks` (uint64)
+    and `vi` (complex (m, 2, 3)), each frame's voltage and then its line
+    currents summed in wire order onto +0."""
+    sensor: int
+    ks: np.ndarray
+    vi: np.ndarray
+    kind = FRAME
+
+
 @dataclass
 class SessionState:
     sensor: int
@@ -81,96 +92,37 @@ class SessionState:
     connected: bool = True
     done: bool = False  # the last session ended with Bye
 
-    def observe(self, k: int) -> bool:
-        """Track frame arrival order; False for duplicate k."""
-        if k <= self.last_k:
-            self.duplicates += 1
-            return False
-        if self.last_k >= 0 and k > self.last_k + 1:
-            self.gaps += k - self.last_k - 1
-        self.last_k = k
-        self.frames += 1
-        return True
+    def observe(self, ks: np.ndarray) -> np.ndarray:
+        """Track the arrival order of a run of frames, at least one; True
+        where k is new.
 
-
-class FrameAligner:
-    """Orders per-sensor frames into per-k sets on a logical watermark.
-
-    Sample k is released once every expected sensor has contributed to it,
-    or once no sensor can still deliver it: each has either delivered a
-    later k' > k or ended its session. A sensor that has not sent anything
-    yet holds every k back. Sensors missing from a released set count as a
-    gap downstream, exactly as the offline pipeline's grouping by k counts
-    them, so both paths see the same (k, frames) sequence whatever the
-    machine timing. No release reads a clock. Releases are strictly
-    ascending in k; a frame for an already released k is dropped and
-    counted in `late`.
-    """
-
-    def __init__(self, sensors):
-        self.sensors = frozenset(sensors)
-        self.pending: dict[int, dict[int, PhasorFrame]] = {}
-        self._heap: list[int] = []          # pending k, smallest first
-        self._high: dict[int, int] = {}     # sensor -> highest k delivered
-        self._ended: set[int] = set()
-        self._next_k = 0                    # every k below is released
-        self.stale_releases = 0             # sets released with a sensor missing
-        self.late = 0                       # frames for an already released k
-
-    def push(self, sensor: int, frame: PhasorFrame) -> list[tuple[int, dict]]:
-        if sensor not in self.sensors:
-            raise ValueError(f"sensor {sensor} is not expected")
-        self._ended.discard(sensor)
-        if frame.k < self._next_k:
-            self.late += 1
-            return []
-        self._high[sensor] = max(frame.k, self._high.get(sensor, -1))
-        frames = self.pending.get(frame.k)
-        if frames is None:
-            frames = self.pending[frame.k] = {}
-            heapq.heappush(self._heap, frame.k)
-        frames.setdefault(sensor, frame)
-        return self._release()
-
-    def end(self, sensor: int) -> list[tuple[int, dict]]:
-        """The sensor's session is over: it no longer holds any k back."""
-        self._ended.add(sensor)
-        return self._release()
-
-    def _blocked(self, k: int) -> bool:
-        if len(self.pending[k]) == len(self.sensors):
-            return False
-        for s in self.sensors:
-            if self._high.get(s, -1) <= k and s not in self._ended:
-                return True
-        return False
-
-    def _pop(self) -> tuple[int, dict]:
-        k = heapq.heappop(self._heap)
-        frames = self.pending.pop(k)
-        if len(frames) < len(self.sensors):
-            self.stale_releases += 1
-        self._next_k = k + 1
-        return k, frames
-
-    def _release(self) -> list[tuple[int, dict]]:
-        out = []
-        while self._heap and not self._blocked(self._heap[0]):
-            out.append(self._pop())
-        return out
-
-    def flush(self) -> list[tuple[int, dict]]:
-        """Release everything still pending, e.g. when a run times out."""
-        out = []
-        while self._heap:
-            out.append(self._pop())
-        return out
+        A k is new where it exceeds `last_k` and every earlier k of the run;
+        the others are duplicates. The counters move as if the frames came
+        one at a time: a new k that skips samples adds them to `gaps`.
+        """
+        ok = np.empty(len(ks), dtype=bool)
+        ok[0] = True
+        ok[1:] = ks[1:] > np.maximum.accumulate(ks)[:-1]
+        if self.last_k >= 0:
+            ok &= ks > self.last_k
+        new = ks[ok]
+        if len(new):
+            first, last = int(new[0]), int(new[-1])
+            self.gaps += last - first - (len(new) - 1)
+            if self.last_k >= 0:
+                self.gaps += first - self.last_k - 1
+            self.last_k = last
+        self.frames += len(new)
+        self.duplicates += len(ks) - len(new)
+        return ok
 
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _HEAD = struct.Struct("<BBIQ")   # version, kind, sensor, k
 _HEAD_LEN = _HEAD.size
+# offsets in a whole frame message, length prefix included
+_AT_SENSOR, _AT_K, _AT_LINES = 4 + 2, 4 + 6, 4 + _HEAD_LEN
 
 
 def _pack_c3(vec: np.ndarray) -> bytes:
@@ -221,6 +173,52 @@ def _parse_frame_payload(body: bytes, off: int, sensor: int, k: int) -> PhasorFr
     if off != end:
         raise MalformedError("trailing bytes in frame payload")
     return PhasorFrame(k=k, bus=sensor, v=v, i_lines=i_lines)
+
+
+class _FrameLayout:
+    """The bytes every frame message of one layout shares, taken from one
+    that decoded: the length prefix, version, kind, sensor, line count, and
+    each line's id length and id. Only k, the phasors and the CRC vary."""
+
+    def __init__(self, msg: bytes):
+        self.size = len(msg)
+        self.head = msg[:_AT_K]
+        self.sensor = _U32.unpack_from(msg, _AT_SENSOR)[0]
+        fixed = [*range(_AT_K), _AT_LINES]
+        self.currents = []          # offset of each line's currents
+        off = _AT_LINES + 49
+        for _ in range(msg[_AT_LINES]):
+            (ln,) = _U16.unpack_from(msg, off)
+            fixed += range(off, off + 2 + ln)
+            off += 2 + ln
+            self.currents.append(off)
+            off += 48
+        self.fixed = np.array(fixed, dtype=np.intp)
+        self.want = np.frombuffer(msg, np.uint8)[self.fixed]
+
+    def run(self, raw: bytes, off: int) -> FrameRun | None:
+        """The frames of this layout with a good CRC from raw[off:] on, up to
+        the first message that is not one; None if there is none."""
+        size = self.size
+        m = (len(raw) - off) // size
+        if m == 0 or not raw.startswith(self.head, off):
+            return None
+        ok = (np.ndarray((m, size), np.uint8, raw, off)[:, self.fixed] == self.want).all(axis=1)
+        if not ok.all():
+            m = int(ok.argmin())
+        body = memoryview(raw)
+        crc = [zlib.crc32(body[a:a + size - 8]) for a in range(off + 4, off + m * size, size)]
+        want = np.ndarray((m,), "<u4", raw, off + size - 4, (size,)).tolist()
+        if crc != want:
+            m = next(i for i, (c, w) in enumerate(zip(crc, want)) if c != w)
+        if m == 0:
+            return None
+        ks = np.ndarray((m,), "<u8", raw, off + _AT_K, (size,)).astype(np.uint64)
+        vi = np.zeros((m, 2, 3), dtype=complex)
+        vi[:, 0] = np.ndarray((m, 3), "<c16", raw, off + _AT_LINES + 1, (size, 16))
+        for at in self.currents:
+            vi[:, 1] += np.ndarray((m, 3), "<c16", raw, off + at, (size, 16))
+        return FrameRun(sensor=self.sensor, ks=ks, vi=vi)
 
 
 def _json_payload(obj: dict) -> bytes:
@@ -311,19 +309,54 @@ def decode(buf: bytes | bytearray, offset: int = 0) -> tuple[Message, int]:
 class MessageStream:
     """Incremental decoder over the bytes of one session.
 
-    `feed` appends bytes as they arrive and `read` returns the next complete
-    message. Consumed bytes are dropped once per fed chunk, not once per
-    message.
+    `feed` appends bytes as they arrive; `read` returns the next complete
+    message, and `read_batch` the next message or run of frames. Consumed
+    bytes are dropped once per fed chunk, not once per message.
     """
 
     def __init__(self):
         self._buf = bytearray()
         self._off = 0
+        self._raw: bytes | None = None         # a copy of _buf for numpy to view
+        self._layout: _FrameLayout | None = None
 
     def feed(self, chunk: bytes) -> None:
         del self._buf[:self._off]
         self._off = 0
         self._buf += chunk
+        self._raw = None
+
+    def read_batch(self) -> Message | FrameRun | None:
+        """Like `read`, but consecutive frames of one layout come back as one
+        FrameRun, read from one copy of their bytes.
+
+        A frame whose layout is new, and every other message, goes through
+        `read`; the layout of a frame that decodes is kept for the frames
+        after it. A message that is not a whole frame of the kept layout with
+        a good CRC ends the run, so `read` meets it next and raises what it
+        always raises, after the same frames.
+        """
+        run = self._run()
+        if run is not None:
+            return run
+        start = self._off
+        msg = self.read()
+        if msg is None or msg.kind != FRAME:
+            return msg
+        self._layout = _FrameLayout(bytes(self._buf[start:self._off]))
+        self._off = start
+        return self._run()
+
+    def _run(self) -> FrameRun | None:
+        if self._layout is None:
+            return None
+        if self._raw is None:
+            # numpy must not view _buf itself: feed could not resize it then
+            self._raw = bytes(self._buf)
+        run = self._layout.run(self._raw, self._off)
+        if run is not None:
+            self._off += len(run.ks) * self._layout.size
+        return run
 
     def read(self) -> Message | None:
         """Next complete message, or None when no complete message is buffered."""
@@ -500,15 +533,17 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
 
     One thread does all the work. A selector watches the listening socket
     and every session; a readable session gets one recv, and every complete
-    message in its buffer is handled before the next select. The samples
+    message in its buffer is handled before the next select, consecutive
+    frames as one run of columns (`MessageStream.read_batch`). The samples
     that the watermark releases meanwhile are fused as one block before the
     next select. Returns as soon as every expected sensor's last session has
     ended with Bye, or at the timeout; a sensor whose session ends by EOF, a
-    reset or a protocol error is still expected back. Unknown sensors, and a
-    second live session of one sensor, are rejected; duplicate k keeps the
-    first frame. A session that ends in any of these ways stops holding
-    samples back; samples still pending at the timeout are released as they
-    are.
+    reset or a protocol error is still expected back. A message stamped with
+    another sensor than the session's Hello is a protocol error. Unknown
+    sensors, and a second live session of one sensor, are rejected;
+    duplicate k keeps the first frame. A session that ends in any of these
+    ways stops holding samples back; samples still pending at the timeout
+    are released as they are.
 
     Each fused block's (k, x) pairs go to `sink`; without one they are
     collected in the result's `xs`.
@@ -520,7 +555,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
     tracker = CentralChangeTracker(model, cfg,
                                    sink=sink or (lambda ks, x: xs.extend(zip(ks, x))))
     aligner = FrameAligner(expected)
-    released: list[tuple[int, dict]] = []   # released by the current read, not fused yet
+    released: list[Released] = []   # released by the current read, not fused yet
     sessions: dict[int, SessionState] = {}
     reports: list[tuple[str, AnomalyReport]] = []
     records = []
@@ -532,7 +567,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
             records.extend(tracker.step(fuse_frames(model, released)))
             released.clear()
 
-    def admit(link: _Link, hello: Message) -> bool:
+    def admit(link: _Link, hello: Message | FrameRun) -> bool:
         """Bind the session to the Hello's sensor; False to reject it."""
         if hello.kind != HELLO or hello.sensor not in expected:
             return False
@@ -568,6 +603,16 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
             return
         sel.register(conn, selectors.EVENT_READ, _Link())
 
+    def push(sensor: int, runs: list[FrameRun]) -> None:
+        """One read's frames of one session: one arrival check, one push."""
+        ks = np.concatenate([r.ks for r in runs])
+        vi = np.concatenate([r.vi for r in runs])
+        new = sessions[sensor].observe(ks)
+        if not new.all():
+            ks, vi = ks[new], vi[new]
+        if len(ks):
+            released.extend(aligner.push(sensor, ks, vi))
+
     def receive(conn: socket.socket, link: _Link) -> None:
         nonlocal rejected, protocol_errors
         try:
@@ -576,6 +621,8 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
             close(conn, link)
             return
         stream = link.stream
+        runs: list[FrameRun] = []
+        ended = bye = False
         try:
             if not chunk:
                 stream.end()
@@ -584,23 +631,28 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
                 close(conn, link)
                 return
             stream.feed(chunk)
-            while (msg := stream.read()) is not None:
+            while (msg := stream.read_batch()) is not None:
                 if link.sensor is None:
                     if not admit(link, msg):
                         rejected += 1
                         close(conn, link)
                         return
+                elif msg.sensor != link.sensor:
+                    raise ProtocolError(f"sensor {msg.sensor} in the session of {link.sensor}")
                 elif msg.kind == FRAME:
-                    if sessions[link.sensor].observe(msg.k):
-                        released.extend(aligner.push(link.sensor, msg.frame))
+                    runs.append(msg)
                 elif msg.kind == REPORT:
                     reports.append((str(link.sensor), msg.report))
                 elif msg.kind == BYE:
-                    close(conn, link, bye=True)
-                    return
+                    ended = bye = True
+                    break
         except ProtocolError:
             protocol_errors += 1
-            close(conn, link)
+            ended = True
+        if runs:
+            push(link.sensor, runs)
+        if ended:
+            close(conn, link, bye)
 
     with socket.create_server(listen_addr) as server, selectors.DefaultSelector() as sel:
         server.setblocking(False)

@@ -109,3 +109,11 @@ def raw_sensor_session(port, sensor, frames, bye, wait_s=10.0):
             conn.sendall(encode(Message(kind=FRAME, sensor=sensor, k=f.k, frame=f)))
         if bye:
             conn.sendall(encode(Message(kind=BYE, sensor=sensor, k=0, info={})))
+
+
+def fuse_streams(model, streams):
+    """Recorded streams grouped by k and fused into one block."""
+    from gridwatch.central import fuse_frames, group_frames
+
+    released = group_frames(model.sensor_buses, streams, block=1 << 30)
+    return fuse_frames(model, [r for rs in released for r in rs])

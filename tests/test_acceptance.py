@@ -10,7 +10,7 @@ import pytest
 
 from gridwatch.analytics import (DetectorState, WindowBuffer, classify_voltage,
                                  cusum_step, qss_correlations, qss_residual)
-from gridwatch.central import build_central_model, central_xs, fuse_frames
+from gridwatch.central import build_central_model, central_xs
 from gridwatch.config import Config
 from gridwatch.model import Placement, build_system, load_feeder, partition, reduce_laterals
 from gridwatch.pipeline import run_offline
@@ -18,7 +18,7 @@ from gridwatch.placement import exhaustive_place, greedy_place, random_place
 from gridwatch.synth import Scenario, apply_replay_attack, generate
 from gridwatch.transport import ProtocolError, decode
 
-from conftest import DATA, scenario_path, toy_feeder
+from conftest import DATA, fuse_streams, scenario_path, toy_feeder
 
 PAPER_COST = 0.51477  # published optimum for comparison; not asserted
 
@@ -102,8 +102,7 @@ def test_criterion_4_central_metric_exactness(ieee34):
                   noise_sigma=0.0, sensors=toy.bus_ids, seed=1)
     streams, _ = generate(sc, toy)
     model = build_central_model(partition(build_system(toy), Placement(toy.bus_ids)))
-    fused = fuse_frames(model, [(k, {b: streams[b][k] for b in toy.bus_ids})
-                                for k in range(len(streams[1]))])
+    fused = fuse_streams(model, streams)
     worst = float(np.max(central_xs(model, fused.D)))
     null_ok = worst <= 1e-18
 

@@ -5,13 +5,17 @@ from gridwatch.analytics import AnomalyReport, PhasorFrame
 from gridwatch.central import (NULL_PROJECTOR, SMALLEST_SINGULAR,
                                CentralChangeRecord, CentralChangeTracker,
                                EventLog, FusedBlock, build_central_model,
-                               central_metric, central_xs, fuse_frames,
-                               fuse_reports, phase_normalize,
+                               central_xs, fuse_reports, phase_normalize,
                                smallest_left_singular_vector)
 from gridwatch.config import Config
 from gridwatch.model import Placement, build_system, partition
 
-from conftest import random_radial_feeder, toy_feeder
+from conftest import fuse_streams, random_radial_feeder, toy_feeder
+
+
+def x_of(model, d_a):
+    """`central_xs` of one fused sample."""
+    return float(central_xs(model, np.asarray(d_a, dtype=complex)[None])[0])
 
 
 def _consistent_d(system, rng):
@@ -56,7 +60,7 @@ def test_nullprojector_mode_consistent_data_exact():
     for _ in range(20):
         d = _consistent_d(sysm, rng)
         d_a = d[part.avail_columns]
-        assert central_metric(model, d_a) <= 1e-18
+        assert x_of(model, d_a) <= 1e-18
 
 
 def test_nullprojector_idempotent():
@@ -93,9 +97,9 @@ def test_metric_scale_invariance(ieee34_system):
     model = build_central_model(part)
     d = _consistent_d(ieee34_system, rng)
     d_a = d[part.avail_columns]
-    x0 = central_metric(model, d_a)
+    x0 = x_of(model, d_a)
     for c in (3.0, -2.0, 1j, 0.5 - 0.5j):
-        assert central_metric(model, c * d_a) == pytest.approx(x0, rel=1e-9)
+        assert x_of(model, c * d_a) == pytest.approx(x0, rel=1e-9)
 
 
 def test_metric_phase_invariance_of_u(ieee34_system):
@@ -105,14 +109,18 @@ def test_metric_phase_invariance_of_u(ieee34_system):
     model = build_central_model(part)
     rotated = replace(model, u_us=model.u_us * np.exp(1j * 0.7))
     d = _consistent_d(ieee34_system, rng)[part.avail_columns]
-    assert central_metric(rotated, d) == pytest.approx(central_metric(model, d), rel=1e-12)
+    assert x_of(rotated, d) == pytest.approx(x_of(model, d), rel=1e-12)
 
 
 def test_metric_zero_vector_rejected(ieee34_system):
     part = partition(ieee34_system, Placement((7, 19, 31)))
     model = build_central_model(part)
-    with pytest.raises(ValueError):
-        central_metric(model, np.zeros(18, dtype=complex))
+    zero = np.zeros(18, dtype=complex)
+    assert np.isnan(x_of(model, zero))
+    got = []
+    tracker = CentralChangeTracker(model, Config(), sink=lambda ks, x: got.extend(zip(ks, x)))
+    tracker.step(_block([0], zero[None]))
+    assert (tracker.skipped, tracker.gaps, got) == (1, 0, [])
 
 
 def test_smallest_singular_skips_structural_zero_rows():
@@ -134,7 +142,7 @@ def test_fuse_frames_ordering_and_completeness(ieee34_system):
                        i_lines={"6-7": np.full(3, 0.1 + 0j), "7-8": np.full(3, 0.2 + 0j)}),
         31: PhasorFrame(k=0, bus=31, v=np.full(3, 2 + 0j), i_lines={}),
     }
-    fused = fuse_frames(model, [(0, frames)])
+    fused = fuse_streams(model, {b: [f] for b, f in frames.items()})
     assert fused.ks == [0]
     assert fused.complete.tolist() == [False]     # sensor 19 is missing
     d_a = fused.D[0]
@@ -187,12 +195,35 @@ def test_fuse_frames_matches_loop_reference_bitwise(ieee34_system):
         if trial % 4 == 2:
             del frames[19]
         released.append((trial, frames))
-    block = fuse_frames(model, released)
+    streams = {b: [frames[b] for _, frames in released if b in frames]
+               for b in model.sensor_buses}
+    block = fuse_streams(model, streams)
     assert block.ks == list(range(20))
     assert block.complete.tolist() == [t % 4 != 2 for t in range(20)]
-    for (k, frames), row in zip(released, block.D):
+    for (_, frames), row in zip(released, block.D):
         assert row.tobytes() == _fuse_reference(model, frames).tobytes()
-        assert fuse_frames(model, [(k, frames)]).D.tobytes() == row.tobytes()
+        alone = fuse_streams(model, {b: [f] for b, f in frames.items()})
+        assert alone.D.tobytes() == row.tobytes()
+
+
+def test_frame_columns_take_frames_in_k_order_and_the_last_of_one_k():
+    """Columns of an unordered stream with a repeated k equal those of the
+    stream sorted by k with only the later frame of that k."""
+    from gridwatch.central import frame_columns
+
+    rng = np.random.default_rng(5)
+
+    def frame(k):
+        c3 = lambda: rng.normal(size=3) + 1j * rng.normal(size=3)
+        return PhasorFrame(k=k, bus=7, v=c3(), i_lines={"6-7": c3(), "7-8": c3()})
+
+    frames = [frame(k) for k in (4, 1, 3, 0, 2)]
+    again = frame(3)
+    ks, vi = frame_columns(frames + [again])
+    want_ks, want_vi = frame_columns([frames[3], frames[1], frames[4], again, frames[0]])
+    assert ks.tolist() == want_ks.tolist() == [0, 1, 2, 3, 4]
+    assert vi.tobytes() == want_vi.tobytes()
+    assert vi[3, 0].tobytes() == again.v.tobytes()
 
 
 def _metric_models(ieee34_system):
@@ -240,8 +271,7 @@ def test_central_xs_nan_for_zero_or_non_finite_rows(ieee34_system):
     x = central_xs(model, D)
     assert np.isfinite(x[0]) and np.isnan(x[1:]).all()
     for row in D[1:]:
-        with pytest.raises(ValueError):
-            central_metric(model, row)
+        assert np.isnan(x_of(model, row))
 
 
 def _block(ks, D, complete=None):
@@ -310,8 +340,8 @@ def test_tracker_skips_non_finite_measurements(ieee34_system):
     assert all(np.isfinite(x) for _, x in got)
 
 
-def _released_stream(ieee34):
-    """The fault_at_sensor scenario's samples grouped by k, with more noise,
+def _fused_stream(ieee34):
+    """The fault_at_sensor scenario's samples fused by k, with more noise,
     sensor 19 missing at some samples and a NaN frame at another."""
     from dataclasses import replace
     from gridwatch.synth import Scenario, generate
@@ -319,25 +349,21 @@ def _released_stream(ieee34):
 
     sc = Scenario.from_json(scenario_path("fault_at_sensor").read_text())
     streams, _ = generate(replace(sc, noise_sigma=1e-3), ieee34)
-    by_k: dict = {}
-    for b, frames in streams.items():
-        for f in frames:
-            by_k.setdefault(f.k, {})[b] = f
-    for k in (40, 41, 450):
-        by_k[k].pop(19, None)
-    f = by_k[300][7]
-    by_k[300][7] = PhasorFrame(k=f.k, bus=7, v=np.full(3, complex(np.nan, 0.0)),
-                               i_lines=f.i_lines)
-    return sc, sorted(by_k.items())
+    streams[19] = [f for f in streams[19] if f.k not in (40, 41, 450)]
+    f = streams[7][300]
+    streams[7][300] = PhasorFrame(k=f.k, bus=7, v=np.full(3, complex(np.nan, 0.0)),
+                                  i_lines=f.i_lines)
+    model = build_central_model(partition(build_system(ieee34), Placement(sc.sensors)))
+    return model, fuse_streams(model, streams)
 
 
-def _track(model, released, cuts):
+def _track(model, fused, cuts):
     xs = []
     tracker = CentralChangeTracker(model, Config(t2=1),
                                    sink=lambda ks, x: xs.extend(zip(ks, x)))
     recs = []
-    for a, b in zip([0] + cuts, cuts + [len(released)]):
-        recs += tracker.step(fuse_frames(model, released[a:b]))
+    for a, b in zip([0] + cuts, cuts + [len(fused.ks)]):
+        recs += tracker.step(_block(fused.ks[a:b], fused.D[a:b], fused.complete[a:b]))
     recs += tracker.finish()
     return xs, recs, (tracker.gaps, tracker.skipped)
 
@@ -345,18 +371,17 @@ def _track(model, released, cuts):
 def test_tracker_independent_of_block_cuts(ieee34):
     """One fused stream in blocks of one, in random cuts and in one block
     gives the same x series, records, change points and counters."""
-    sc, released = _released_stream(ieee34)
-    model = build_central_model(partition(build_system(ieee34), Placement(sc.sensors)))
-    n = len(released)
-    ref = _track(model, released, list(range(1, n)))
+    model, fused = _fused_stream(ieee34)
+    n = len(fused.ks)
+    ref = _track(model, fused, list(range(1, n)))
     assert any(r.end_k is None for r in ref[1])           # a persistent emission
     assert any(len(r.change_ks) > 1 for r in ref[1])
     assert ref[2] == (3, 1)
     rng = np.random.default_rng(0)
     for _ in range(3):
         cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=40, replace=False))
-        assert _track(model, released, cuts) == ref
-    assert _track(model, released, []) == ref
+        assert _track(model, fused, cuts) == ref
+    assert _track(model, fused, []) == ref
 
 
 def test_tracker_memory_flat_over_long_runs(ieee34_system):
@@ -456,5 +481,5 @@ def test_consistency_bound_on_bundled_steady_state(ieee34):
     d_u = d[part.unavail_columns]
     d_a = d[part.avail_columns]
     bound = model.sigma_min ** 2 * float(np.vdot(d_u, d_u).real / np.vdot(d_a, d_a).real)
-    x = central_metric(model, d_a)
+    x = x_of(model, d_a)
     assert x <= bound * (1 + 1e-9)

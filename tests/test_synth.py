@@ -227,9 +227,10 @@ def test_csv_malformed_rows_skipped(tmp_path, ieee34):
     lines = path.read_text().splitlines()
     lines.insert(3, "garbage,row")
     lines.insert(5, lines[4].replace(lines[4].split(",")[2], "not_a_number", 1))
+    lines.insert(6, "-1" + lines[6][lines[6].index(","):])
     path.write_text("\n".join(lines) + "\n")
     back, skipped = read_stream_csv(path)
-    assert skipped == 2
+    assert skipped == 3
 
 
 def test_write_streams_layout(tmp_path, ieee34):

@@ -10,11 +10,12 @@ from gridwatch.config import Config
 from gridwatch.model import Placement
 from gridwatch.pipeline import run_offline
 from gridwatch.synth import Scenario, generate, read_stream_csv, write_stream_csv
-from gridwatch.central import CentralChangeTracker, build_central_model, fuse_frames
+from gridwatch.central import (CentralChangeTracker, build_central_model, frame_columns,
+                               fuse_frames)
 from gridwatch.model import build_system, partition
 from gridwatch.transport import (BYE, FRAME, HEARTBEAT, HELLO, REPORT,
                                  ChecksumError, FrameAligner, MalformedError,
-                                 Message, MessageStream, ProtocolError,
+                                 Message, MessageStream, ProtocolError, SessionState,
                                  TruncatedError, VersionError, decode, encode,
                                  pace, serve_central, serve_local)
 
@@ -206,6 +207,102 @@ def test_message_stream_fuzz_raises_only_protocol_errors():
     assert raised > 2500
 
 
+def _layout_session():
+    """A session whose frames change layout: lines added, dropped and
+    renamed, a frame stamped with another sensor, and reports and
+    heartbeats between them. One-line frames carry a -0 current, which a
+    sum begun at +0 turns into +0."""
+    msgs, _ = _session()
+    rng = np.random.default_rng(3)
+    c3 = lambda: rng.normal(size=3) + 1j * rng.normal(size=3)
+    layouts = [{"6-7": 0, "7-8": 0}, {"6-7": 0}, {}, {"7-8": 0, "6-7": 0, "7-9": 0}]
+    out = msgs[:-1]
+    k = 7
+    for run in range(12):
+        lines = layouts[run % len(layouts)]
+        sensor = 8 if run == 9 else 7
+        for _ in range(int(rng.integers(1, 9))):
+            f = PhasorFrame(k=k, bus=sensor, v=c3(), i_lines={lid: c3() for lid in lines})
+            if len(lines) == 1:
+                f.i_lines["6-7"][0] = complex(-0.0, -0.0)
+            out.append(Message(kind=FRAME, sensor=sensor, k=k, frame=f))
+            k += int(rng.integers(1, 3))
+        if run % 3 == 0:
+            out.append(Message(kind=REPORT, sensor=7, k=k, report=sample_report()))
+        elif run % 3 == 1:
+            out.append(Message(kind=HEARTBEAT, sensor=7, k=k))
+    out.append(msgs[-1])
+    return b"".join(encode(m) for m in out)
+
+
+def _summed(i_lines) -> bytes:
+    total = np.zeros(3, dtype=complex)
+    for i in i_lines.values():
+        total += i
+    return total.tobytes()
+
+
+def _consume(chunks, batch: bool) -> tuple[list, str | None]:
+    """What a stream yields, one entry per frame or other message, and the
+    name of the error it ends with, if any."""
+    stream = MessageStream()
+    out = []
+    try:
+        for chunk in chunks:
+            stream.feed(chunk)
+            while (m := (stream.read_batch() if batch else stream.read())) is not None:
+                if not isinstance(m, Message):
+                    assert m.ks.dtype == np.uint64
+                    out += [("frame", m.sensor, k, vi[0].tobytes(), vi[1].tobytes())
+                            for k, vi in zip(m.ks.tolist(), m.vi)]
+                elif m.kind == FRAME:
+                    out.append(("frame", m.sensor, m.k, m.frame.v.tobytes(),
+                                _summed(m.frame.i_lines)))
+                else:
+                    out.append((m.kind, m.sensor, m.k, m.report, m.info))
+        stream.end()
+    except ProtocolError as e:
+        return out, type(e).__name__
+    return out, None
+
+
+def test_batch_read_matches_read_on_fuzzed_sessions():
+    """Bit flips, truncations and layout changes in random chunks: the batch
+    reader yields the same frames, bit for bit, and the same other messages
+    as `read`, and ends with the same error after the same frames."""
+    import struct
+    import zlib
+    raw = _layout_session()
+    starts = [0]
+    while starts[-1] < len(raw):
+        starts.append(decode(raw, starts[-1])[1])
+    rng = np.random.default_rng(13)
+    errors = set()
+    for trial in range(2000):
+        data = bytearray(raw)
+        if trial % 4 == 1:
+            data = data[:int(rng.integers(0, len(raw)))]
+        elif trial % 4 == 2:
+            for pos in rng.integers(0, len(raw), size=int(rng.integers(1, 4))):
+                data[pos] ^= 1 << int(rng.integers(0, 8))
+        elif trial % 4 == 3:
+            # a flip inside one body, resealed with a good CRC: a new layout,
+            # a malformed payload, another kind or version
+            i = int(rng.integers(0, len(starts) - 1))
+            a, b = starts[i] + 4, starts[i + 1] - 4
+            data[int(rng.integers(a, b))] ^= 1 << int(rng.integers(0, 8))
+            data[b:b + 4] = struct.pack("<I", zlib.crc32(bytes(data[a:b])))
+        bounds = sorted({0, len(data), *rng.integers(0, len(data) + 1,
+                                                     size=int(rng.integers(0, 12))).tolist()})
+        chunks = [bytes(data[a:b]) for a, b in zip(bounds, bounds[1:])]
+        with np.errstate(invalid="ignore"):   # flipped bits make inf - inf
+            want = _consume(chunks, batch=False)
+            assert _consume(chunks, batch=True) == want
+        errors.add(want[1])
+    assert errors >= {None, "TruncatedError", "ChecksumError", "MalformedError",
+                      "VersionError"}
+
+
 def test_complete_message_with_short_payload_is_malformed():
     """A whole message whose frame payload runs short cannot be completed by
     more bytes: the stream raises instead of waiting for them."""
@@ -238,59 +335,106 @@ def test_central_path_leaves_decoded_arrays_alone(ieee34):
         aligner = FrameAligner(placement.sensor_buses)
         for k in range(len(frames[7])):
             for b in placement.sensor_buses:
-                released = aligner.push(b, frames[b][k])
+                released = aligner.push(b, *frame_columns([frames[b][k]]))
                 if released:
                     tracker.step(fuse_frames(model, released))
     assert xs["decoded"] == xs["original"] and xs["decoded"]
 
 
+# ---------------------------------------------------------------- sessions
+
+def _observe_one_at_a_time(state, ks):
+    """The per-frame rule the array form must match."""
+    out = []
+    for k in ks:
+        if k <= state.last_k:
+            state.duplicates += 1
+            out.append(False)
+            continue
+        if state.last_k >= 0 and k > state.last_k + 1:
+            state.gaps += k - state.last_k - 1
+        state.last_k = k
+        state.frames += 1
+        out.append(True)
+    return out
+
+
+def test_observe_matches_the_per_frame_rule():
+    """Random k with duplicates, gaps and reversals, cut into random runs."""
+    rng = np.random.default_rng(14)
+    top = 2 ** 64 - 1
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        base = top - 200 if trial % 5 == 0 else 0
+        ks = [base + int(k) for k in np.cumsum(rng.integers(-3, 4, size=n)) + 100]
+        ref, got = SessionState(sensor=7), SessionState(sensor=7)
+        if trial % 2:
+            ref.last_k = got.last_k = base + 100
+        want = _observe_one_at_a_time(ref, ks)
+        cuts = sorted({0, n, *rng.integers(1, n + 1, size=3).tolist()})
+        mask = []
+        for a, b in zip(cuts, cuts[1:]):
+            mask += got.observe(np.array(ks[a:b], dtype=np.uint64)).tolist()
+        assert mask == want
+        assert (got.last_k, got.gaps, got.duplicates, got.frames) == \
+            (ref.last_k, ref.gaps, ref.duplicates, ref.frames)
+
+
 # ---------------------------------------------------------------- aligner
+
+def one(k, bus):
+    """One frame as a push's one-row columns."""
+    return frame_columns([sample_frame(k=k, bus=bus)])
+
+
+def released_ks(out):
+    return [k for r in out for k in r.ks.tolist()]
+
 
 def test_aligner_releases_complete_sets_in_order():
     al = FrameAligner({1, 2})
-    f1 = sample_frame(k=0, bus=1)
-    assert al.push(1, f1) == []
-    out = al.push(2, sample_frame(k=0, bus=2))
-    assert [k for k, _ in out] == [0]
-    al.push(1, sample_frame(k=2, bus=1))
-    al.push(2, sample_frame(k=1, bus=2))
-    out = al.push(1, sample_frame(k=1, bus=1))
-    assert [k for k, _ in out] == [1]
-    out = al.push(2, sample_frame(k=2, bus=2))
-    assert [k for k, _ in out] == [2]
+    assert al.push(1, *one(0, 1)) == []
+    out = al.push(2, *one(0, 2))
+    assert released_ks(out) == [0]
+    assert al.push(2, *one(1, 2)) == []
+    out = al.push(1, *one(1, 1))
+    assert released_ks(out) == [1]
+    assert al.push(1, *one(2, 1)) == []
+    out = al.push(2, *one(2, 2))
+    assert released_ks(out) == [2]
 
 
 def test_aligner_stale_release_counts():
     al = FrameAligner({1, 2})
-    al.push(1, sample_frame(k=0, bus=1))
+    al.push(1, *one(0, 1))
     # sensor 2 could still send k=0, so k=0 waits however long that takes
-    assert al.push(1, sample_frame(k=1, bus=1)) == []
+    assert al.push(1, *one(1, 1)) == []
     out = al.end(2)   # sensor 2 ends its session without ever sending k=0
-    assert [k for k, _ in out] == [0]
+    assert released_ks(out) == [0]
     assert al.stale_releases == 1
 
 
 def test_aligner_late_frame_after_reconnect():
     al = FrameAligner({1, 2})
-    al.push(1, sample_frame(k=0, bus=1))
-    assert [k for k, _ in al.push(2, sample_frame(k=0, bus=2))] == [0]
+    al.push(1, *one(0, 1))
+    assert released_ks(al.push(2, *one(0, 2))) == [0]
     al.end(2)
     # sensor 2 reconnects and replays k=0, which is already fused
-    assert al.push(2, sample_frame(k=0, bus=2)) == []
+    assert al.push(2, *one(0, 2)) == []
     assert al.late == 1
     # once back, sensor 2 holds later samples back again
-    assert al.push(1, sample_frame(k=1, bus=1)) == []
-    assert al.push(1, sample_frame(k=2, bus=1)) == []
-    assert [k for k, _ in al.push(2, sample_frame(k=1, bus=2))] == [1]
+    assert al.push(1, *one(1, 1)) == []
+    assert al.push(1, *one(2, 1)) == []
+    assert released_ks(al.push(2, *one(1, 2))) == [1]
     assert al.stale_releases == 0
 
 
 def test_aligner_flush():
     al = FrameAligner({1, 2})
-    al.push(1, sample_frame(k=5, bus=1))
+    al.push(1, *one(5, 1))
     out = al.flush()
-    assert [k for k, _ in out] == [5]
-    assert al.pending == {}
+    assert released_ks(out) == [5]
+    assert len(al.pending) == 0
 
 
 # ---------------------------------------------------------------- replay csv
@@ -441,6 +585,120 @@ def test_central_rejects_unknown_sensor(ieee34):
     t.join(timeout=30.0)
     assert box["res"].rejected >= 1
     assert set(box["res"].sessions) == {7, 19}
+
+
+def _serve(ieee34, placement, send, timeout_s=30.0):
+    """serve_central on a free local port while `send(port)` writes the
+    sessions; returns its result."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    box = {}
+    ready = threading.Event()
+    t = threading.Thread(target=lambda: box.update(res=serve_central(
+        ("127.0.0.1", port), ieee34, placement, Config(), ready=ready, timeout_s=timeout_s)))
+    t.start()
+    ready.wait(timeout=10.0)
+    send(port)
+    t.join(timeout=timeout_s + 10.0)
+    assert not t.is_alive()
+    return box["res"]
+
+
+def _hello(sensor):
+    return encode(Message(kind=HELLO, sensor=sensor, k=0, info={"sensor": sensor}))
+
+
+def _frame(f, sensor=None):
+    sensor = f.bus if sensor is None else sensor
+    return encode(Message(kind=FRAME, sensor=sensor, k=f.k, frame=f))
+
+
+def replace_v(f, scale):
+    return PhasorFrame(k=f.k, bus=f.bus, v=f.v * scale, i_lines=f.i_lines)
+
+
+def test_central_ends_session_stamped_with_another_sensor(ieee34):
+    """After Hello, a message stamped with another sensor ends the session as
+    a protocol error: such a frame is not fused as the session's sensor, and
+    such a Bye does not finish the session."""
+    from conftest import connect_when_listening
+
+    placement = Placement((7, 31))
+    streams = _scenario_streams(ieee34, n_s=0.3, sensors=(7, 31))
+    stray = {7: _frame(replace_v(streams[7][5], 10.0), sensor=19),
+             31: encode(Message(kind=BYE, sensor=19, k=0, info={}))}
+
+    def send(port):
+        for bus in (7, 31):
+            with connect_when_listening(port) as conn:
+                conn.sendall(_hello(bus) + b"".join(_frame(f) for f in streams[bus][:5])
+                             + stray[bus] + encode(Message(kind=BYE, sensor=bus, k=0, info={})))
+
+    res = _serve(ieee34, placement, send, timeout_s=2.0)
+    assert res.protocol_errors == 2
+    assert {b: (s.frames, s.done) for b, s in res.sessions.items()} == {7: (5, False),
+                                                                        31: (5, False)}
+    offline = run_offline(ieee34, placement, {b: streams[b][:5] for b in (7, 31)})
+    assert res.xs == offline.xs and len(res.xs) == 5
+
+
+def test_serve_path_builds_no_frame_objects(ieee34, monkeypatch):
+    """Two sessions of 2,000 frames with reports between them: frames are
+    read in runs, and a frame message is parsed one at a time only where a
+    run meets a new layout, not once per frame."""
+    import gridwatch.transport as tr
+    from conftest import connect_when_listening
+
+    parsed, runs = [], []
+    parse, run = tr._parse_frame_payload, tr._FrameLayout.run
+
+    def counted_parse(*args):
+        parsed.append(args[3])
+        return parse(*args)
+
+    def counted_run(self, raw, off):
+        out = run(self, raw, off)
+        if out is not None:
+            runs.append(len(out.ks))
+        return out
+
+    monkeypatch.setattr(tr, "_parse_frame_payload", counted_parse)
+    monkeypatch.setattr(tr._FrameLayout, "run", counted_run)
+    placement = Placement((7, 31))
+
+    def send(port):
+        for bus in placement.sensor_buses:
+            parts = [_hello(bus)]
+            for k in range(2000):
+                if k % 37 == 5:
+                    parts.append(encode(Message(kind=REPORT, sensor=bus, k=k,
+                                                report=sample_report())))
+                parts.append(_frame(sample_frame(k=k, bus=bus)))
+            parts.append(encode(Message(kind=BYE, sensor=bus, k=0, info={})))
+            with connect_when_listening(port) as conn:
+                conn.sendall(b"".join(parts))
+
+    res = _serve(ieee34, placement, send)
+    assert [res.sessions[b].frames for b in (7, 31)] == [2000, 2000]
+    assert len(res.xs) == 2000 and res.protocol_errors == 0
+    assert sum(runs) == 4000 and len(runs) >= 2 * 2000 // 37
+    assert len(parsed) <= len(runs) and len(parsed) == 2   # one layout per session
+
+
+def test_central_keeps_k_up_to_the_wire_limit(ieee34):
+    """k travels as u64: a session whose k reach 2**64 - 2 gives the same
+    (k, x) rows as its frames decoded one at a time and fused offline."""
+    placement = Placement((7,))
+    base = _scenario_streams(ieee34, n_s=0.3, sensors=(7,))[7]
+    top = 2 ** 64 - 2
+    frames = [PhasorFrame(k=top - len(base) + 1 + i, bus=7, v=f.v, i_lines=f.i_lines)
+              for i, f in enumerate(base)]
+    res = _serve(ieee34, placement, lambda port: raw_sensor_session(port, 7, frames, bye=True))
+    decoded = [decode(_frame(f))[0].frame for f in frames]
+    offline = run_offline(ieee34, placement, {}, central_streams={7: decoded})
+    assert [k for k, _ in res.xs] == [f.k for f in decoded] and res.xs[-1][0] == top
+    assert res.xs == offline.xs
 
 
 def test_disconnect_resilience_no_report_loss(ieee34, tmp_path):
