@@ -1,8 +1,9 @@
 """Local engine: per-sensor stream analytics and the six local rules.
 
 A local engine sees one sensor's phasor stream and nothing else -- no
-admittances, no siting information. It works on blocks of frames. One
-vectorised derive turns a block into columns: magnitudes, per-phase powers,
+admittances, no siting information. It works on blocks of frames, each a
+row range of the stream's columns (`StreamColumns`). One vectorised derive
+turns a block into derived columns: magnitudes, per-phase powers,
 a frequency-drift estimate and a quasi-steady-state subspace residual per
 incident line. Then one loop per scalar channel runs that channel's
 threshold or change-detection rule and segments its violations into labeled
@@ -11,9 +12,10 @@ anomaly reports.
 Between blocks the engine carries a small, fixed state: the last M rows of
 each line's window, the previous positive-sequence value, each channel's
 detector and segmenter, and its recent samples for trend labeling. A stream
-fed one frame at a time (`LocalEngine.step`) and the same stream fed in
-blocks of any length (`LocalEngine.run`) go through the same kernels and
-give the same reports, bit for bit. That is also why powers, the positive
+fed one frame at a time (`LocalEngine.step`, which wraps the frame as a
+block of one) and the same stream fed in blocks of any length
+(`LocalEngine.run`) go through the same kernels and give the same
+reports, bit for bit. That is also why powers, the positive
 sequence and the window correlations are computed in separately rounded
 real arithmetic: numpy's complex multiply rounds differently depending on
 the length of the array.
@@ -58,6 +60,97 @@ class PhasorFrame:
     bus: int
     v: np.ndarray                    # complex (3,), p.u.
     i_lines: dict[str, np.ndarray]   # line id -> complex (3,), p.u.
+
+
+@dataclass(frozen=True)
+class StreamColumns:
+    """One sensor's stream as columns, one row per frame.
+
+    `ks` (uint64) rises strictly. `vi[j]` holds frame j's voltage and then
+    its line currents summed onto +0 in the frame's own line order. Each
+    incident line has the rows of the frames that carry it, ascending, and
+    its currents at those rows.
+    """
+    bus: int
+    ks: np.ndarray                                   # uint64 (n,)
+    vi: np.ndarray                                   # complex (n, 2, 3)
+    lines: dict[str, tuple[np.ndarray, np.ndarray]]  # line id -> (rows (m,), complex (m, 3))
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.vi[:, 0]
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, rows: slice) -> "StreamColumns":
+        """The frames of a row range."""
+        start, stop, step = rows.indices(len(self.ks))
+        if step != 1:
+            raise ValueError("a row range has step 1")
+        lines = {}
+        for lid, (at, cur) in self.lines.items():
+            a, b = at.searchsorted((start, stop)).tolist()
+            if b > a:
+                lines[lid] = (at[a:b] - start, cur[a:b])
+        return StreamColumns(self.bus, self.ks[start:stop], self.vi[start:stop], lines)
+
+    def frames(self):
+        """The frames, built one at a time; each lists its lines by id."""
+        taken = dict.fromkeys(self.lines, 0)   # per line, its rows passed
+        for j in range(len(self.ks)):
+            i_lines = {}
+            for lid, (at, cur) in self.lines.items():
+                n = taken[lid]
+                if n < len(at) and at[n] == j:
+                    i_lines[lid] = cur[n]
+                    taken[lid] = n + 1
+            yield PhasorFrame(k=int(self.ks[j]), bus=self.bus, v=self.vi[j, 0], i_lines=i_lines)
+
+    @classmethod
+    def from_frames(cls, frames: list[PhasorFrame]) -> "StreamColumns":
+        """Frames taken in k order; of two frames with one k the later wins."""
+        bus = frames[0].bus if frames else -1
+        ks = np.fromiter((f.k for f in frames), np.uint64, len(frames))
+        order = np.argsort(ks, kind="stable")
+        last = np.ones(len(order), dtype=bool)   # the last frame of its k
+        last[:-1] = ks[order][1:] != ks[order][:-1]
+        keep = order[last].tolist()
+        rows, names, pos, cur = [], [], [], []
+        for j, i in enumerate(keep):
+            for p, (lid, c) in enumerate(frames[i].i_lines.items()):
+                rows.append(j)
+                names.append(lid)
+                pos.append(p)
+                cur.append(c)
+        v = np.array([frames[i].v for i in keep], dtype=complex).reshape(len(keep), 3)
+        ids = sorted(set(names))
+        code = np.fromiter(map({lid: n for n, lid in enumerate(ids)}.__getitem__, names),
+                           np.intp, len(names))
+        return cls.assemble(bus, ks[keep], v, ids, np.array(rows, dtype=np.intp), code,
+                            np.array(pos, dtype=np.intp),
+                            np.array(cur, dtype=complex).reshape(len(cur), 3))
+
+    @classmethod
+    def assemble(cls, bus: int, ks: np.ndarray, v: np.ndarray, ids: list[str],
+                 rows: np.ndarray, code: np.ndarray, pos: np.ndarray,
+                 cur: np.ndarray) -> "StreamColumns":
+        """Columns from one entry per (frame, line), in row order: the
+        frame's row, the line's index in `ids` and its place among the
+        frame's lines, and its currents."""
+        vi = np.zeros((len(ks), 2, 3), dtype=complex)
+        vi[:, 0] = v
+        # a non-finite sum makes the sample non-finite, and the central
+        # engine skips and counts it
+        with np.errstate(invalid="ignore", over="ignore"):
+            for p in range(int(pos.max()) + 1 if len(pos) else 0):
+                at = pos == p
+                vi[rows[at], 1] += cur[at]
+        lines = {}
+        for n, lid in enumerate(ids):
+            at = code == n
+            lines[lid] = (rows[at], cur[at])
+        return cls(bus, ks, vi, lines)
 
 
 @dataclass(frozen=True)
@@ -241,15 +334,6 @@ class FrequencyTracker:
         return out
 
 
-def estimate_frequency_drift(v_window, lambda_forget: float = 0.99) -> float:
-    """Run a fresh tracker over a window of voltage frames (>= 2)."""
-    if len(v_window) < 2:
-        raise ValueError("need at least 2 frames")
-    tr = FrequencyTracker(lambda_forget)
-    tr.track(positive_sequence(np.asarray(v_window, dtype=complex)).tolist())
-    return tr.beta_hat
-
-
 class WindowBuffer:
     """The last M (v, i) rows of one line, carried from block to block."""
 
@@ -269,17 +353,6 @@ class WindowBuffer:
         I = np.concatenate([self._i, I])
         self._v, self._i = V[-self.capacity:].copy(), I[-self.capacity:].copy()
         return V, I
-
-    def push(self, v: np.ndarray, i: np.ndarray) -> None:
-        self.extend(np.asarray(v, dtype=complex).reshape(1, 3),
-                    np.asarray(i, dtype=complex).reshape(1, 3))
-
-    @property
-    def full(self) -> bool:
-        return len(self._v) == self.capacity
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._v, self._i
 
 
 def _windows(a: np.ndarray, m: int) -> np.ndarray:
@@ -305,19 +378,12 @@ def window_correlations(V: np.ndarray, I: np.ndarray, m: int) -> np.ndarray:
     return R
 
 
-def qss_correlations(window: WindowBuffer) -> np.ndarray | None:
-    """Stacked sample correlations [R_iv; R_vv], 6x3, scaled by 1/(M-1).
-
-    R_iv = sum_r i[k-r] v[k-r]^H, R_vv likewise with the local bus voltage;
-    emitted only once the window is full.
-    """
-    if not window.full:
-        return None
-    return window_correlations(*window.arrays(), window.capacity)[0]
-
-
 def qss_residuals(R: np.ndarray) -> np.ndarray:
-    """`qss_residual` of each matrix in a stack (n, p, q), from one batched SVD."""
+    """Frobenius residual of R R^H outside its best rank-1 approximation,
+    for each matrix R in a stack (n, p, q), from one batched SVD.
+
+    Equals sqrt(sum_{i>=2} sigma_i^4(R)); zero exactly when R is rank one.
+    """
     if len(R) == 0:
         return np.empty(0)
     s = np.linalg.svd(R, compute_uv=False)
@@ -326,14 +392,6 @@ def qss_residuals(R: np.ndarray) -> np.ndarray:
         sq = s[:, c] * s[:, c]
         out += sq * sq
     return np.sqrt(out)
-
-
-def qss_residual(R: np.ndarray) -> float:
-    """Frobenius residual of R R^H outside its best rank-1 approximation.
-
-    Equals sqrt(sum_{i>=2} sigma_i^4(R)); zero exactly when R is rank one.
-    """
-    return float(qss_residuals(np.asarray(R, dtype=complex)[None])[0])
 
 
 @dataclass
@@ -729,32 +787,25 @@ class LocalEngine:
                       _ChangeChannel(FREQUENCY, bus, None, cfg, trend=True)))
         self._channels = chans
 
-    def derive(self, frames: list[PhasorFrame]) -> DerivedBlock:
+    def derive(self, block: StreamColumns) -> DerivedBlock:
         """Derived columns of a block of frames.
 
         Advances the frequency tracker and the QSS windows, so each frame
         is derived once, in stream order.
         """
-        n = len(frames)
-        V = np.array([f.v for f in frames], dtype=complex).reshape(n, 3)
+        V = np.ascontiguousarray(block.v)
         beta = np.array(self.freq.track(positive_sequence(V).tolist()))
-        by_line: dict[str, tuple[list[int], list]] = {}
-        for j, f in enumerate(frames):
-            for lid, i in f.i_lines.items():
-                rows, cur = by_line.setdefault(lid, ([], []))
-                rows.append(j)
-                cur.append(i)
-        ks = [f.k for f in frames]
-        lines = {lid: self._derive_line(lid, V, ks, rows, cur)
-                 for lid, (rows, cur) in by_line.items()}
+        ks = block.ks.tolist()
+        lines = {lid: self._derive_line(lid, V, ks, rows, I)
+                 for lid, (rows, I) in block.lines.items()}
         return DerivedBlock(ks=ks, vmag=np.abs(V), beta_hat=beta, lines=lines)
 
-    def _derive_line(self, lid: str, V: np.ndarray, ks: list[int], rows: list[int],
-                     cur: list) -> LineColumns:
-        I = np.array(cur, dtype=complex).reshape(len(rows), 3)
+    def _derive_line(self, lid: str, V: np.ndarray, ks: list[int], rows: np.ndarray,
+                     I: np.ndarray) -> LineColumns:
         if len(rows) < len(V):
             V = V[rows]
-            ks = [ks[j] for j in rows]
+            ks = [ks[j] for j in rows.tolist()]
+        rows = rows.tolist()
         p, q = complex_power(V, I)
         resid = np.empty(0)
         w = self.windows.get(lid)
@@ -767,12 +818,12 @@ class LocalEngine:
         return LineColumns(rows=rows, ks=ks, imag=np.abs(I), p=p, q=q,
                            qss_rows=rows[full:], qss_ks=ks[full:], qss_residual=resid)
 
-    def run(self, frames: list[PhasorFrame]) -> list[AnomalyReport]:
+    def run(self, block: StreamColumns) -> list[AnomalyReport]:
         """Advance over a block of frames; their reports in the order that
         feeding the frames to `step` one by one emits them."""
-        if not frames:
+        if not len(block):
             return []
-        d = self.derive(frames)
+        d = self.derive(block)
         found = []
         for ci, (lid, name, ph, chan) in enumerate(self._channels):
             rows, ks, xs = d.column(lid, name, ph)
@@ -782,7 +833,7 @@ class LocalEngine:
         return [r for *_, r in found]
 
     def step(self, frame: PhasorFrame) -> list[AnomalyReport]:
-        return self.run([frame])
+        return self.run(StreamColumns.from_frames([frame]))
 
     def finish(self) -> list[AnomalyReport]:
         return [r for *_, chan in self._channels for r in chan.flush()]

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analytics import AnomalyReport, DetectorState, EventSegmenter, PhasorFrame, cusum_run
+from .analytics import AnomalyReport, DetectorState, EventSegmenter, cusum_run
 from .config import Config
 from .model import PartitionedSystem
 
@@ -24,8 +24,6 @@ SMALLEST_SINGULAR = "smallest_singular"
 NULL_PROJECTOR = "null_projector"
 
 _PHASE_EPS = 1e-12
-_ZERO3 = np.zeros(3, dtype=complex)
-_ZERO3.flags.writeable = False
 
 
 def phase_normalize(u: np.ndarray) -> np.ndarray:
@@ -122,39 +120,8 @@ class FusedBlock:
     complete: np.ndarray   # bool (n,): every sensor delivered the sample
 
 
-_COLUMN_CHUNK = 1024   # frames gathered per temporary array in frame_columns
 _NO_KS = np.empty(0, dtype=np.uint64)
 _NO_VI = np.empty((0, 2, 3), dtype=complex)
-
-
-def frame_columns(frames: list[PhasorFrame]) -> tuple[np.ndarray, np.ndarray]:
-    """One sensor's frames as aligner columns: `ks` (uint64, rising strictly)
-    and `vi` (complex (m, 2, 3)), each frame's voltage and then its line
-    currents summed in `i_lines` order onto +0.
-
-    Frames are taken in k order; of two frames with one k the later wins. A
-    frame with fewer lines is padded with +0 currents, which leave a sum
-    begun at +0 unchanged.
-    """
-    if not frames:
-        return _NO_KS, _NO_VI
-    ks = np.fromiter((f.k for f in frames), np.uint64, len(frames))
-    order = np.argsort(ks, kind="stable")
-    keep = order[np.append(ks[order][1:] != ks[order][:-1], True)]
-    vi = np.zeros((len(keep), 2, 3), dtype=complex)
-    for start in range(0, len(keep), _COLUMN_CHUNK):
-        rows = [(frames[i].v, *frames[i].i_lines.values())
-                for i in keep[start:start + _COLUMN_CHUNK].tolist()]
-        width = max(map(len, rows))
-        if any(len(row) < width for row in rows):
-            rows = [row + (_ZERO3,) * (width - len(row)) for row in rows]
-        A = np.concatenate([a for row in rows for a in row],
-                           dtype=complex).reshape(len(rows), width, 3)
-        part = vi[start:start + len(rows)]
-        part[:, 0] = A[:, 0]
-        for line in range(1, width):
-            part[:, 1] += A[:, line]
-    return ks[keep], vi
 
 
 @dataclass(frozen=True)
@@ -170,10 +137,12 @@ class Released:
 class FrameAligner:
     """Groups per-sensor sample columns by k on a logical watermark.
 
-    `push(sensor, ks, vi)` takes a sensor's next samples as `frame_columns`
-    lays them out. Per sensor, k must rise strictly, within a push and from
-    one push to the next; `transport.SessionState` enforces this on the
-    wire, and `frame_columns` offline.
+    `push(sensor, ks, vi)` takes a sensor's next samples as
+    `analytics.StreamColumns` lays them out: `ks` (uint64) and `vi` (complex
+    (m, 2, 3)), each sample's voltage and then its summed line currents. Per
+    sensor, k must rise strictly, within a push and from one push to the
+    next; `transport.SessionState` enforces this on the wire, and
+    `StreamColumns` offline.
 
     Sample k is released once every expected sensor has delivered it, or
     once no sensor can still deliver it: each has either delivered a later
@@ -256,13 +225,14 @@ class FrameAligner:
         return [Released(ks=ks_all, cols=cols, complete=complete)]
 
 
-def group_frames(sensors, streams: dict[int, list[PhasorFrame]],
+def group_frames(sensors, columns: dict[int, tuple[np.ndarray, np.ndarray]],
                  block: int) -> Iterator[list[Released]]:
-    """Recorded streams grouped by k through one FrameAligner, in rounds:
-    each sensor pushes its next `block` samples, and what a round releases
-    comes out together; at the end every sensor ends."""
+    """Recorded streams, as each sensor's (ks, vi) columns, grouped by k
+    through one FrameAligner in rounds: each sensor pushes its next `block`
+    samples, and what a round releases comes out together; at the end every
+    sensor ends. A sensor without columns has no samples."""
     aligner = FrameAligner(sensors)
-    cols = {s: frame_columns(streams.get(s, [])) for s in sensors}
+    cols = {s: columns.get(s, (_NO_KS, _NO_VI)) for s in sensors}
     for start in range(0, max(len(ks) for ks, _ in cols.values()), block):
         out = []
         for s, (ks, vi) in cols.items():

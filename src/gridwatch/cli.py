@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import synth
+from .analytics import StreamColumns
 from .central import EventLog
 from .config import Config, ConfigError, load_config
 from .model import FeederError, Placement, build_system, load_feeder, reduce_laterals
@@ -100,20 +101,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_stream(path: str | Path) -> list:
-    """Frames of one stream CSV; says on stderr how many rows were malformed."""
-    frames, skipped = synth.read_stream_csv(path)
+def _read_stream(path: str | Path) -> StreamColumns:
+    """One stream CSV as columns; says on stderr how many rows were malformed."""
+    stream, skipped = synth.read_stream_csv(path)
     if skipped:
         print(f"warning: skipped {skipped} malformed row(s) in {path}", file=sys.stderr)
-    return frames
+    return stream
 
 
-def _read_streams(directory: Path) -> dict[int, list]:
-    streams = {}
+def _read_streams(directory: Path) -> dict[int, StreamColumns]:
+    """Every bus<N>.csv under `directory`, by sensor bus N (docs/streams.md)."""
+    streams: dict[int, StreamColumns] = {}
+    paths: dict[int, Path] = {}
     for path in sorted(directory.glob("bus*.csv")):
-        frames = _read_stream(path)
-        if frames:
-            streams[frames[0].bus] = frames
+        stream = _read_stream(path)
+        if stream.bus < 0:
+            raise FeederError(f"{path}: not a stream name; streams are named bus<N>.csv")
+        if stream.bus in streams:
+            raise FeederError(f"{path}: a second stream for bus {stream.bus}, "
+                              f"after {paths[stream.bus].name}")
+        if not len(stream):
+            raise FeederError(f"{path}: no valid rows")
+        streams[stream.bus], paths[stream.bus] = stream, path
     if not streams:
         raise FeederError(f"no bus*.csv streams under {directory}")
     return streams
@@ -154,7 +163,7 @@ def _write_derived(outdir: Path, feeder, buses, streams, cfg) -> None:
     for bus in buses:
         eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
         rows = ["k,line,vmag_a,vmag_b,vmag_c,p_a,q_a,imag_a,beta_hat,qss_residual"]
-        for block in blocks(streams.get(bus, [])):  # a sensor without a stream is empty
+        for block in blocks(streams.get(bus)):
             d = eng.derive(block)
             vmag, beta = d.vmag.tolist(), d.beta_hat.tolist()
             lines = []
@@ -230,7 +239,7 @@ def cmd_serve_local(args) -> int:
     from .transport import pace, serve_local
     cfg = _config(args)
     feeder = load_feeder(find_feeder(args.feeder))
-    frames = pace(_read_stream(args.stream), args.rate)
+    frames = pace(_read_stream(args.stream).frames(), args.rate)
     try:
         stats = serve_local(frames, args.sensor, (args.host, args.port or cfg.port),
                             feeder, cfg, spool_path=args.spool)

@@ -1,15 +1,19 @@
-"""Offline pipeline: local engines + central fusion over in-memory streams.
+"""Offline pipeline: local engines + central fusion over recorded streams.
 
-The CLI `analyze` path runs this. The networked processes in
-`transport.py` do not call `run_offline`; they run the same local engine
-per sensor and feed the same block tracker, and both paths group frames by
-sample index k in the same `central.FrameAligner`: offline the sensors
-push their recorded streams in rounds and then end, while `serve-central`
-pushes each socket read's frames as they arrive. A sensor missing at k
-counts as a gap in both.
+The CLI `analyze` path runs this. Each sensor's stream is held as columns
+(`analytics.StreamColumns`), read from its CSV by `synth.read_stream_csv`
+or converted once from a list of frames; no per-frame objects are built
+between the file and the engines.
+
+The networked processes in `transport.py` do not call `run_offline`; they
+run the same local engine per sensor and feed the same block tracker, and
+both paths group samples by index k in the same `central.FrameAligner`:
+offline the sensors push their recorded columns in rounds and then end,
+while `serve-central` pushes each socket read's frames as they arrive. A
+sensor missing at k counts as a gap in both.
 
 Both engines run in blocks. Offline, each local engine takes its stream in
-blocks of `BLOCK_FRAMES` frames (`LocalEngine.run`), and the central
+row ranges of `BLOCK_FRAMES` frames (`LocalEngine.run`), and the central
 tracker takes what each round of `BLOCK_FRAMES` samples per sensor
 releases (`fuse_frames`, `CentralChangeTracker.step`). `serve-local` runs
 the local kernels one frame at a time (`LocalEngine.step`, a block of one),
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analytics import AnomalyReport, LocalEngine, PhasorFrame
+from .analytics import AnomalyReport, LocalEngine, PhasorFrame, StreamColumns
 from .central import (CentralChangeRecord, CentralChangeTracker, EventLog,
                       build_central_model, fuse_frames, fuse_reports, group_frames)
 from .config import Config
@@ -31,6 +35,8 @@ from .model import FeederModel, Placement, build_system, partition
 # frames per LocalEngine.run call, and samples per central block: enough to
 # amortise the per-call work, few enough that a block's arrays stay small
 BLOCK_FRAMES = 1024
+
+Stream = StreamColumns | list[PhasorFrame]
 
 
 @dataclass
@@ -47,43 +53,56 @@ def line_ratings_at(feeder: FeederModel, bus: int) -> dict:
     return {l.id: l.rated_current for l in feeder.lines_at(bus)}
 
 
-def blocks(items: list):
-    """A stream cut into consecutive blocks of at most BLOCK_FRAMES items."""
-    return (items[s:s + BLOCK_FRAMES] for s in range(0, len(items), BLOCK_FRAMES))
+def blocks(stream: StreamColumns | None):
+    """A stream cut into consecutive row ranges of at most BLOCK_FRAMES
+    frames; a sensor without a stream (None) has none."""
+    n = 0 if stream is None else len(stream)
+    return (stream[s:s + BLOCK_FRAMES] for s in range(0, n, BLOCK_FRAMES))
 
 
-def run_local_engine(feeder: FeederModel, bus: int, frames: list[PhasorFrame],
+def columns(streams: dict[int, Stream], buses) -> dict[int, StreamColumns]:
+    """The streams of `buses` as columns; a list of frames is converted once,
+    and a bus without a stream has none."""
+    return {b: s if isinstance(s, StreamColumns) else StreamColumns.from_frames(s)
+            for b, s in streams.items() if b in buses}
+
+
+def run_local_engine(feeder: FeederModel, bus: int, stream: StreamColumns | None,
                      cfg: Config | None = None) -> list[AnomalyReport]:
     eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
     reports: list[AnomalyReport] = []
-    for block in blocks(frames):
+    for block in blocks(stream):
         reports.extend(eng.run(block))
     reports.extend(eng.finish())
     return reports
 
 
 def run_offline(feeder: FeederModel, placement: Placement,
-                local_streams: dict[int, list[PhasorFrame]],
-                central_streams: dict[int, list[PhasorFrame]] | None = None,
+                local_streams: dict[int, Stream],
+                central_streams: dict[int, Stream] | None = None,
                 cfg: Config | None = None) -> PipelineResult:
-    """Full hierarchy over recorded streams.
+    """Full hierarchy over recorded streams, each as columns or as a list
+    of frames.
 
     `local_streams` feed the per-sensor engines (sensor-side data);
     `central_streams` feed the fusion stage (uplink data, possibly
     tampered). They default to the same streams.
     """
     cfg = cfg or Config()
-    central_streams = central_streams if central_streams is not None else local_streams
+    buses = placement.sensor_buses
+    local = columns(local_streams, buses)
+    central = local if central_streams is None else columns(central_streams, buses)
 
     local_reports: dict[int, list[AnomalyReport]] = {}
-    for bus in placement.sensor_buses:
-        local_reports[bus] = run_local_engine(feeder, bus, local_streams.get(bus, []), cfg)
+    for bus in buses:
+        local_reports[bus] = run_local_engine(feeder, bus, local.get(bus), cfg)
 
     model = build_central_model(partition(build_system(feeder), placement))
     xs: list[tuple[int, float]] = []
     tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
     records: list[CentralChangeRecord] = []
-    for released in group_frames(placement.sensor_buses, central_streams, BLOCK_FRAMES):
+    for released in group_frames(buses, {b: (c.ks, c.vi) for b, c in central.items()},
+                                 BLOCK_FRAMES):
         records.extend(tracker.step(fuse_frames(model, released)))
     records.extend(tracker.finish())
 

@@ -12,13 +12,15 @@ which makes the generator and the model module mutual oracles.
 from __future__ import annotations
 
 import json
-import math
+import re
+import warnings
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import PhasorFrame
+from .analytics import PhasorFrame, StreamColumns
 from .model import FeederModel, LineSegment, SystemMatrix, build_system
 
 EVENT_KINDS = ("voltage_sag", "slg_fault", "fuse_open", "load_loss",
@@ -453,51 +455,103 @@ def write_stream_csv(path: str | Path, frames: list[PhasorFrame],
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_stream_csv(path: str | Path) -> tuple[list[PhasorFrame], int]:
-    """Frames from a stream CSV; returns (frames, skipped_row_count).
+# the columns read from a row, and how: k, the voltage's six parts, the
+# line id and the currents' six parts; the timestamp is not read
+_CSV_COLUMNS = (0, *range(2, 15))
+_CSV_ROW = np.dtype([("k", "u8"), ("v", "f8", (6,)), ("line", "O"), ("i", "f8", (6,))])
+_CSV_COMMAS = CSV_HEADER.count(",")   # a row has 15 fields
+_CSV_CHUNK_CHARS = 1 << 20   # text parsed per np.loadtxt call
+_CSV_PIECES = 16             # pieces of a rejected chunk
+_STREAM_NAME = re.compile(r"bus([0-9]+)\.csv")
 
-    A row is malformed, and skipped, when it does not have 15 fields, its
-    k or one of its 12 phasor parts does not parse, k is outside the u64
-    range that sample indices take on the wire, or a part is not finite.
+
+def read_stream_csv(path: str | Path) -> tuple[StreamColumns, int]:
+    """One sensor's stream CSV as columns; returns (columns, skipped_row_count).
+
+    The contract is in docs/streams.md. A row is malformed, and skipped,
+    when it does not have 15 fields, its k or one of its 12 phasor parts
+    does not parse, k is outside the u64 range that sample indices take on
+    the wire, or a part is not finite. Of the good rows, the first at a k
+    gives that frame's voltage, and the last at a (k, line) that line's
+    currents; the frame's lines are in the order of their first rows, and
+    frames are in k order.
     """
-    frames: dict[int, dict] = {}
-    skipped = 0
-    bus = _bus_from_name(Path(path))
-    with open(path) as fh:
+    parts, skipped = [], 0
+    with open(path) as fh, warnings.catch_warnings():
+        # some numpy versions read an integer written as a float ('12.0')
+        # with only a DeprecationWarning; such a row is malformed here
+        warnings.simplefilter("error", DeprecationWarning)
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ScenarioError(f"{path}: unexpected header")
-        for raw in fh:
-            parts = raw.rstrip("\n").split(",")
-            if len(parts) != 15:
-                skipped += 1
-                continue
-            try:
-                k = int(parts[0])
-                x = [float(t) for t in parts[2:8] + parts[9:15]]
-            except ValueError:
-                skipped += 1
-                continue
-            if not 0 <= k < 1 << 64:
-                skipped += 1
-                continue
-            # a finite sum means finite parts; only an infinite one needs a closer look
-            if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
-                skipped += 1
-                continue
-            v = np.array([complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5])])
-            i = np.array([complex(x[6], x[7]), complex(x[8], x[9]), complex(x[10], x[11])])
-            slot = frames.setdefault(k, {"v": v, "i": {}})
-            slot["i"][parts[8]] = i
-    out = [PhasorFrame(k=k, bus=bus, v=slot["v"], i_lines=slot["i"])
-           for k, slot in sorted(frames.items())]
-    return out, skipped
+        while lines := fh.readlines(_CSV_CHUNK_CHARS):
+            commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+            whole = commas == _CSV_COMMAS
+            if not whole.all():
+                skipped += len(lines) - int(np.count_nonzero(whole))
+                lines = list(compress(lines, whole.tolist()))
+            skipped += _parse_rows(lines, parts)
+    rows = np.concatenate(parts) if parts else np.empty(0, _CSV_ROW)
+    finite = np.isfinite(rows["v"]).all(axis=1) & np.isfinite(rows["i"]).all(axis=1)
+    if not finite.all():
+        skipped += len(rows) - int(np.count_nonzero(finite))
+        rows = rows[finite]
+    return _stream_columns(_bus_from_name(Path(path)), rows), skipped
+
+
+def _parse_rows(lines: list[str], out: list[np.ndarray]) -> int:
+    """Parse rows of 15 fields onto `out`; returns how many were malformed.
+
+    A chunk that the reader rejects is cut into up to 16 pieces, and each
+    rejected piece again, until each bad row stands alone: a file of bad
+    rows costs about one reader call per row.
+    """
+    if not lines:
+        return 0
+    try:
+        out.append(np.loadtxt(lines, _CSV_ROW, delimiter=",", comments=None,
+                              usecols=_CSV_COLUMNS, ndmin=1))
+        return 0
+    except (ValueError, DeprecationWarning):
+        if len(lines) == 1:
+            return 1
+    step = -(-len(lines) // _CSV_PIECES)
+    return sum(_parse_rows(lines[a:a + step], out) for a in range(0, len(lines), step))
+
+
+def _stream_columns(bus: int, rows: np.ndarray) -> StreamColumns:
+    """Columns of a stream's good rows, in file order."""
+    if not len(rows):
+        return StreamColumns(bus, np.empty(0, np.uint64), np.empty((0, 2, 3), complex), {})
+    ids, code = np.unique(rows["line"].astype(str), return_inverse=True)
+    k = rows["k"]
+    # by k, then line, then file order: each (k, line) pair is a run
+    order = np.lexsort((code, k))
+    k_s, c_s = k[order], code[order]
+    new_k = np.ones(len(k_s), dtype=bool)
+    new_k[1:] = k_s[1:] != k_s[:-1]
+    new_pair = new_k.copy()
+    new_pair[1:] |= c_s[1:] != c_s[:-1]
+    frame_at = np.flatnonzero(new_k)
+    pair_at = np.flatnonzero(new_pair)
+    frame_of_pair = (np.cumsum(new_k) - 1)[pair_at]
+    first_row = order[pair_at]                                    # a pair's first row
+    last_row = order[np.append(pair_at[1:], len(order)) - 1]      # and its last
+    # a line's place in its frame: the order of the pairs' first rows
+    by_first = np.lexsort((first_row, frame_of_pair))
+    pos = np.empty(len(pair_at), dtype=np.intp)
+    starts = np.searchsorted(frame_of_pair[by_first], frame_of_pair[by_first])
+    pos[by_first] = np.arange(len(pair_at)) - starts
+    v = rows["v"][np.minimum.reduceat(order, frame_at)]    # a frame's first row
+    return StreamColumns.assemble(bus, k_s[frame_at], v.view(complex), ids.tolist(),
+                                  frame_of_pair, c_s[pair_at], pos,
+                                  rows["i"][last_row].view(complex))
 
 
 def _bus_from_name(path: Path) -> int:
-    stem = path.stem
-    digits = "".join(ch for ch in stem if ch.isdigit())
-    return int(digits) if digits else -1
+    """The sensor bus N of a file named bus<N>.csv, else -1."""
+    m = _STREAM_NAME.fullmatch(path.name)
+    return int(m.group(1)) if m else -1
 
 
 def write_streams(outdir: str | Path, streams: dict[int, list[PhasorFrame]],

@@ -216,8 +216,11 @@ class _FrameLayout:
         ks = np.ndarray((m,), "<u8", raw, off + _AT_K, (size,)).astype(np.uint64)
         vi = np.zeros((m, 2, 3), dtype=complex)
         vi[:, 0] = np.ndarray((m, 3), "<c16", raw, off + _AT_LINES + 1, (size, 16))
-        for at in self.currents:
-            vi[:, 1] += np.ndarray((m, 3), "<c16", raw, off + at, (size, 16))
+        # a non-finite sum makes the sample non-finite, and the central
+        # engine skips and counts it
+        with np.errstate(invalid="ignore", over="ignore"):
+            for at in self.currents:
+                vi[:, 1] += np.ndarray((m, 3), "<c16", raw, off + at, (size, 16))
         return FrameRun(sensor=self.sensor, ks=ks, vi=vi)
 
 

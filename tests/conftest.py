@@ -113,7 +113,10 @@ def raw_sensor_session(port, sensor, frames, bye, wait_s=10.0):
 
 def fuse_streams(model, streams):
     """Recorded streams grouped by k and fused into one block."""
+    from gridwatch.analytics import StreamColumns
     from gridwatch.central import fuse_frames, group_frames
 
-    released = group_frames(model.sensor_buses, streams, block=1 << 30)
+    columns = {b: StreamColumns.from_frames(frames) for b, frames in streams.items()}
+    released = group_frames(model.sensor_buses, {b: (c.ks, c.vi) for b, c in columns.items()},
+                            block=1 << 30)
     return fuse_frames(model, [r for rs in released for r in rs])

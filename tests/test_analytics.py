@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from gridwatch import central
 from gridwatch.analytics import (OVERCURRENT, QSS_VALIDITY, VOLTAGE_MAG, DetectorState,
                                  EventSegmenter, FrequencyTracker, LocalEngine,
-                                 PhasorFrame, WindowBuffer, check_overcurrent,
-                                 classify_trend, classify_voltage, complex_power,
-                                 cusum_step, estimate_frequency_drift,
-                                 positive_sequence, qss_correlations, qss_residual,
-                                 segment_events)
+                                 PhasorFrame, check_overcurrent, classify_trend,
+                                 classify_voltage, complex_power, cusum_step,
+                                 positive_sequence, qss_residuals, segment_events,
+                                 window_correlations)
 from gridwatch.config import Config
 
 
@@ -90,15 +89,22 @@ def balanced(mag=1.0):
     return mag * np.exp(1j * np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3]))
 
 
+def drift(v_frames) -> float:
+    """beta_hat of a fresh tracker after a series of voltage frames."""
+    tr = FrequencyTracker()
+    tr.track(positive_sequence(np.array(v_frames)).tolist())
+    return tr.beta_hat
+
+
 def test_frequency_constant_rotation():
     beta = 2 * np.pi * 0.1 / 120.0
     frames = [balanced() * np.exp(1j * beta * k) for k in range(200)]
-    assert estimate_frequency_drift(frames) == pytest.approx(beta, abs=1e-9)
+    assert drift(frames) == pytest.approx(beta, abs=1e-9)
 
 
 def test_frequency_constant_phasors_zero():
     frames = [balanced()] * 50
-    assert estimate_frequency_drift(frames) == 0.0
+    assert drift(frames) == 0.0
 
 
 def test_frequency_step_response_half_life():
@@ -132,14 +138,17 @@ def test_frequency_zero_sequence_holds_estimate():
 
 # ---------------------------------------------------------------- correlations
 
+def correlations(vs, i_s, m):
+    """[R_iv; R_vv] of the window of the last m frames, or None before m."""
+    R = window_correlations(np.array(vs)[-m:], np.array(i_s)[-m:], m)
+    return R[0] if len(R) else None
+
+
 def test_qss_correlations_constant_outer_product():
     m = 12
     v = balanced()
     i = 0.3 * balanced()
-    w = WindowBuffer(m)
-    for _ in range(m):
-        w.push(v, i)
-    R = qss_correlations(w)
+    R = correlations([v] * m, [i] * m, m)
     scale = m / (m - 1)
     assert np.allclose(R[:3], scale * np.outer(i, np.conj(v)))
     assert np.allclose(R[3:], scale * np.outer(v, np.conj(v)))
@@ -148,14 +157,11 @@ def test_qss_correlations_constant_outer_product():
 
 
 def test_qss_correlations_two_sample_hand_values():
-    w = WindowBuffer(2)
     v1 = np.array([1.0, 0, 0], dtype=complex)
     i1 = np.array([2.0, 0, 0], dtype=complex)
     v2 = np.array([0, 1.0j, 0], dtype=complex)
     i2 = np.array([0, 3.0, 0], dtype=complex)
-    w.push(v1, i1)
-    w.push(v2, i2)
-    R = qss_correlations(w)
+    R = correlations([v1, v2], [i1, i2], 2)
     # 1/(M-1) = 1: R_iv = i1 v1^H + i2 v2^H, computed by hand
     expect_iv = np.zeros((3, 3), dtype=complex)
     expect_iv[0, 0] = 2.0
@@ -168,12 +174,14 @@ def test_qss_correlations_two_sample_hand_values():
 
 
 def test_qss_correlations_requires_full_window():
-    w = WindowBuffer(4)
-    w.push(balanced(), balanced())
-    assert qss_correlations(w) is None
+    assert correlations([balanced()], [balanced()], 4) is None
 
 
 # ---------------------------------------------------------------- residual
+
+def qss_residual(R) -> float:
+    return float(qss_residuals(np.asarray(R, dtype=complex)[None])[0])
+
 
 def test_qss_residual_rank_one_zero():
     a = np.arange(1, 7, dtype=complex) + 1j

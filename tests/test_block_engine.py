@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.analytics import LocalEngine, PhasorFrame, complex_power, positive_sequence
+from gridwatch.analytics import (LocalEngine, PhasorFrame, StreamColumns, complex_power,
+                                 positive_sequence)
 from gridwatch.config import Config
 
 RATINGS = {"1-2": np.array([1.0, 1.0, 0.0]), "2-3": np.array([0.5, 0.5, 0.5])}
@@ -52,11 +53,13 @@ def streams(draw):
 
 
 def cut(frames, sizes):
-    """Consecutive blocks of the stream, with sizes cycling through `sizes`."""
+    """Consecutive blocks of the stream's columns, with sizes cycling
+    through `sizes`."""
+    cols = StreamColumns.from_frames(frames)
     out, s, n = [], 0, 0
     while s < len(frames):
         size = sizes[n % len(sizes)]
-        out.append(frames[s:s + size])
+        out.append(cols[s:s + size])
         s += size
         n += 1
     return out
@@ -113,7 +116,7 @@ def test_blocks_and_steps_derive_equal_columns(case):
     frames, m, sizes = case
     stepped = LocalEngine(2, RATINGS, config(m))
     blocked = LocalEngine(2, RATINGS, config(m))
-    per_frame = [stepped.derive([f]) for f in frames]
+    per_frame = [stepped.derive(StreamColumns.from_frames([f])) for f in frames]
     per_block = [blocked.derive(b) for b in cut(frames, sizes)]
     assert _columns(per_block) == _columns(per_frame)
 
@@ -125,7 +128,8 @@ def test_streams_exercise_events():
     eng = LocalEngine(2, RATINGS, config(4))
     rules = {r.rule for r in by_blocks(eng, cut(frames, [7]))}
     assert {"voltage_mag", "overcurrent", "current_mag", "qss_validity"} <= rules, rules
-    assert len(LocalEngine(2, RATINGS, config(4)).derive(frames).lines["1-2"].qss_residual) > 60
+    whole = StreamColumns.from_frames(frames)
+    assert len(LocalEngine(2, RATINGS, config(4)).derive(whole).lines["1-2"].qss_residual) > 60
 
 
 def test_kernels_do_not_depend_on_array_length():

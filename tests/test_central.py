@@ -209,7 +209,7 @@ def test_fuse_frames_matches_loop_reference_bitwise(ieee34_system):
 def test_frame_columns_take_frames_in_k_order_and_the_last_of_one_k():
     """Columns of an unordered stream with a repeated k equal those of the
     stream sorted by k with only the later frame of that k."""
-    from gridwatch.central import frame_columns
+    from gridwatch.analytics import StreamColumns
 
     rng = np.random.default_rng(5)
 
@@ -219,11 +219,14 @@ def test_frame_columns_take_frames_in_k_order_and_the_last_of_one_k():
 
     frames = [frame(k) for k in (4, 1, 3, 0, 2)]
     again = frame(3)
-    ks, vi = frame_columns(frames + [again])
-    want_ks, want_vi = frame_columns([frames[3], frames[1], frames[4], again, frames[0]])
-    assert ks.tolist() == want_ks.tolist() == [0, 1, 2, 3, 4]
-    assert vi.tobytes() == want_vi.tobytes()
-    assert vi[3, 0].tobytes() == again.v.tobytes()
+    got = StreamColumns.from_frames(frames + [again])
+    want = StreamColumns.from_frames([frames[3], frames[1], frames[4], again, frames[0]])
+    assert got.ks.tolist() == want.ks.tolist() == [0, 1, 2, 3, 4]
+    assert got.vi.tobytes() == want.vi.tobytes()
+    assert got.vi[3, 0].tobytes() == again.v.tobytes()
+    for lid in ("6-7", "7-8"):
+        assert got.lines[lid][1].tobytes() == want.lines[lid][1].tobytes()
+        assert got.lines[lid][1][3].tobytes() == again.i_lines[lid].tobytes()
 
 
 def _metric_models(ieee34_system):
@@ -338,6 +341,28 @@ def test_tracker_skips_non_finite_measurements(ieee34_system):
     assert (tracker.skipped, tracker.gaps) == (2, 1)
     assert [k for k, _ in got] == [0, 2]
     assert all(np.isfinite(x) for _, x in got)
+
+
+def test_offline_run_counts_opposite_infinities(ieee34):
+    """A frame whose line currents are +inf and -inf sums to NaN without a
+    numpy warning; the central engine skips and counts that sample."""
+    import warnings
+    from gridwatch.pipeline import run_offline
+    from gridwatch.synth import Scenario, generate
+    from conftest import scenario_path
+
+    sc = Scenario.from_json(scenario_path("quiet").read_text())
+    streams, _ = generate(sc, ieee34)
+    central = dict(streams)
+    central[7] = list(streams[7])
+    f = central[7][10]
+    inf = np.full(3, complex(np.inf, np.inf))
+    central[7][10] = PhasorFrame(k=f.k, bus=7, v=f.v, i_lines={"6-7": inf, "7-8": -inf})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_offline(ieee34, Placement(sc.sensors), streams, central)
+    assert (res.skipped, res.gaps) == (1, 0)
+    assert f.k not in [k for k, _ in res.xs] and len(res.xs) == len(streams[7]) - 1
 
 
 def _fused_stream(ieee34):

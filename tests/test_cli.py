@@ -104,6 +104,34 @@ def test_analyze_skips_non_finite_rows(tmp_path, capsys):
     assert captured.out.startswith("0 log entries, 0 incident(s), 0 gap(s); wrote ")
 
 
+@pytest.mark.parametrize("name, error", [
+    ("bus7_v2.csv", "bus7_v2.csv: not a stream name; streams are named bus<N>.csv"),
+    ("bus07.csv", "bus7.csv: a second stream for bus 7, after bus07.csv"),
+])
+def test_analyze_rejects_stream_file_names(tmp_path, capsys, name, error):
+    """bus7_v2.csv is not sensor 72, and bus07.csv does not replace bus7.csv."""
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    (streams / name).write_text((streams / "bus7.csv").read_text())
+    capsys.readouterr()
+    assert main(["analyze", "--streams", str(streams), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {streams / error}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_rejects_stream_without_valid_rows(tmp_path, capsys):
+    """A sensor whose file holds no valid row does not drop out of the
+    default placement unnoticed."""
+    streams, _ = _quiet_streams_with_bad_row(tmp_path)
+    path = streams / "bus19.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n1,t,x\n")
+    capsys.readouterr()
+    assert main(["analyze", "--streams", str(streams), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"data error: {path}: no valid rows"
+
+
 def test_serve_local_warns_on_malformed_rows(tmp_path, capsys):
     import socket
     import threading
@@ -297,9 +325,9 @@ def _serve_central_with(tmp_path, send19, timeout="60"):
         ["serve-central", "--feeder", "ieee34", "--placement", "7,19",
          "--port", str(port), "--out", str(tmp_path / "out"), "--timeout", timeout])))
     t.start()
-    frames19, _ = read_stream_csv(streams / "bus19.csv")
+    frames19 = list(read_stream_csv(streams / "bus19.csv")[0].frames())
     send19(port, frames19)
-    serve_local(read_stream_csv(streams / "bus7.csv")[0], 7, ("127.0.0.1", port),
+    serve_local(read_stream_csv(streams / "bus7.csv")[0].frames(), 7, ("127.0.0.1", port),
                 load_feeder(find_feeder("ieee34")))
     t.join(timeout=30.0)
     assert not t.is_alive()
@@ -396,3 +424,32 @@ def test_serve_central_counts_non_finite_sample(tmp_path, capsys):
     rows = (tmp_path / "out" / "central_x.csv").read_text().splitlines()
     assert rows[0] == "k,x" and len(rows) == n19
     assert "10" not in [r.split(",")[0] for r in rows] and "nan" not in "".join(rows)
+
+
+def test_serve_central_counts_opposite_infinities(tmp_path, capsys):
+    """A frame whose line currents are +inf and -inf sums to NaN in the
+    batch reader without a numpy warning (warnings are errors in this
+    suite); the sample is skipped and counted."""
+    import re
+    import numpy as np
+    from conftest import raw_sensor_session
+    from gridwatch.analytics import PhasorFrame
+
+    def send19(port, frames):
+        f = frames[10]
+        inf = np.full(3, complex(np.inf, np.inf))
+        lines = sorted(f.i_lines)
+        frames = list(frames)
+        frames[10] = PhasorFrame(k=f.k, bus=f.bus, v=f.v,
+                                 i_lines={lines[0]: inf, lines[1]: -inf})
+        raw_sensor_session(port, 19, frames, bye=True)
+
+    rc, n19 = _serve_central_with(tmp_path, send19)
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert re.search(r"^warning: central fusion incomplete: stale_releases=0 late=0 "
+                     r"central_gaps=0 skipped=1 unfinished=0 protocol_errors=0$",
+                     captured.err, re.M)
+    assert "RuntimeWarning" not in captured.err
+    rows = (tmp_path / "out" / "central_x.csv").read_text().splitlines()
+    assert len(rows) == n19 and "10" not in [r.split(",")[0] for r in rows]

@@ -5,13 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from gridwatch.analytics import AnomalyReport, PhasorFrame
+from gridwatch.analytics import AnomalyReport, PhasorFrame, StreamColumns
 from gridwatch.config import Config
 from gridwatch.model import Placement
 from gridwatch.pipeline import run_offline
 from gridwatch.synth import Scenario, generate, read_stream_csv, write_stream_csv
-from gridwatch.central import (CentralChangeTracker, build_central_model, frame_columns,
-                               fuse_frames)
+from gridwatch.central import CentralChangeTracker, build_central_model, fuse_frames
 from gridwatch.model import build_system, partition
 from gridwatch.transport import (BYE, FRAME, HEARTBEAT, HELLO, REPORT,
                                  ChecksumError, FrameAligner, MalformedError,
@@ -335,7 +334,7 @@ def test_central_path_leaves_decoded_arrays_alone(ieee34):
         aligner = FrameAligner(placement.sensor_buses)
         for k in range(len(frames[7])):
             for b in placement.sensor_buses:
-                released = aligner.push(b, *frame_columns([frames[b][k]]))
+                released = aligner.push(b, *one(k, b, frames[b][k]))
                 if released:
                     tracker.step(fuse_frames(model, released))
     assert xs["decoded"] == xs["original"] and xs["decoded"]
@@ -382,9 +381,10 @@ def test_observe_matches_the_per_frame_rule():
 
 # ---------------------------------------------------------------- aligner
 
-def one(k, bus):
-    """One frame as a push's one-row columns."""
-    return frame_columns([sample_frame(k=k, bus=bus)])
+def one(k, bus, frame=None):
+    """One frame, by default `sample_frame`'s, as a push's one-row columns."""
+    cols = StreamColumns.from_frames([frame or sample_frame(k=k, bus=bus)])
+    return cols.ks, cols.vi
 
 
 def released_ks(out):
@@ -446,7 +446,7 @@ def test_replay_csv_roundtrip(tmp_path, ieee34):
     streams, _ = generate(sc, ieee34)
     path = tmp_path / "bus7.csv"
     write_stream_csv(path, streams[7], sc.start_time)
-    back = list(pace(read_stream_csv(path)[0], rate_multiplier=0.0))
+    back = list(pace(read_stream_csv(path)[0].frames(), rate_multiplier=0.0))
     assert len(back) == len(streams[7])
     for a, b in zip(streams[7], back):
         assert a.k == b.k
