@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -67,9 +66,9 @@ class StreamColumns:
     """One sensor's stream as columns, one row per frame.
 
     `ks` (uint64) rises strictly. `vi[j]` holds frame j's voltage and then
-    its line currents summed onto +0 in the frame's own line order. Each
-    incident line has the rows of the frames that carry it, ascending, and
-    its currents at those rows.
+    its line currents summed onto +0 in line-id order, as the central node
+    sums a frame off the wire. Each incident line has the rows of the
+    frames that carry it, ascending, and its currents at those rows.
     """
     bus: int
     ks: np.ndarray                                   # uint64 (n,)
@@ -116,40 +115,35 @@ class StreamColumns:
         last = np.ones(len(order), dtype=bool)   # the last frame of its k
         last[:-1] = ks[order][1:] != ks[order][:-1]
         keep = order[last].tolist()
-        rows, names, pos, cur = [], [], [], []
+        rows, names, cur = [], [], []
         for j, i in enumerate(keep):
-            for p, (lid, c) in enumerate(frames[i].i_lines.items()):
+            for lid, c in frames[i].i_lines.items():
                 rows.append(j)
                 names.append(lid)
-                pos.append(p)
                 cur.append(c)
         v = np.array([frames[i].v for i in keep], dtype=complex).reshape(len(keep), 3)
         ids = sorted(set(names))
         code = np.fromiter(map({lid: n for n, lid in enumerate(ids)}.__getitem__, names),
                            np.intp, len(names))
         return cls.assemble(bus, ks[keep], v, ids, np.array(rows, dtype=np.intp), code,
-                            np.array(pos, dtype=np.intp),
                             np.array(cur, dtype=complex).reshape(len(cur), 3))
 
     @classmethod
     def assemble(cls, bus: int, ks: np.ndarray, v: np.ndarray, ids: list[str],
-                 rows: np.ndarray, code: np.ndarray, pos: np.ndarray,
-                 cur: np.ndarray) -> "StreamColumns":
+                 rows: np.ndarray, code: np.ndarray, cur: np.ndarray) -> "StreamColumns":
         """Columns from one entry per (frame, line), in row order: the
-        frame's row, the line's index in `ids` and its place among the
-        frame's lines, and its currents."""
+        frame's row, the line's index in the sorted `ids`, and its
+        currents."""
         vi = np.zeros((len(ks), 2, 3), dtype=complex)
         vi[:, 0] = v
+        lines = {}
         # a non-finite sum makes the sample non-finite, and the central
         # engine skips and counts it
         with np.errstate(invalid="ignore", over="ignore"):
-            for p in range(int(pos.max()) + 1 if len(pos) else 0):
-                at = pos == p
-                vi[rows[at], 1] += cur[at]
-        lines = {}
-        for n, lid in enumerate(ids):
-            at = code == n
-            lines[lid] = (rows[at], cur[at])
+            for n, lid in enumerate(ids):
+                at = code == n
+                r, c = lines[lid] = rows[at], cur[at]
+                vi[r, 1] += c
         return cls(bus, ks, vi, lines)
 
 
@@ -413,7 +407,6 @@ class DetectorState:
     g_plus: float = 0.0
     g_minus: float = 0.0
     armed: bool = False
-    last_z: float = 0.0
     _n: int = field(default=0, repr=False)
     _w_mean: float = field(default=0.0, repr=False)
     _w_m2: float = field(default=0.0, repr=False)
@@ -428,11 +421,11 @@ def cusum_run(state: DetectorState, xs) -> tuple[list[bool], list[float]]:
     """Advance the detector over a series.
 
     Returns, per sample, whether a change was declared and |z| (0 during
-    warmup); `state.last_z` is the last sample's z.
+    warmup).
     """
     nu, h, lam, warmup, floor = state.nu, state.h, state.lambda_forget, state.warmup, state.var_floor
     mean, var, gp, gm, armed = state.mean_hat, state.var_hat, state.g_plus, state.g_minus, state.armed
-    n, w_mean, w_m2, z = state._n, state._w_mean, state._w_m2, state.last_z
+    n, w_mean, w_m2 = state._n, state._w_mean, state._w_m2
     sqrt = math.sqrt
     changed: list[bool] = []
     zabs: list[float] = []
@@ -467,13 +460,8 @@ def cusum_run(state: DetectorState, xs) -> tuple[list[bool], list[float]]:
             changed.append(False)
         zabs.append(abs(z))
     state.mean_hat, state.var_hat, state.g_plus, state.g_minus, state.armed = mean, var, gp, gm, armed
-    state._n, state._w_mean, state._w_m2, state.last_z = n, w_mean, w_m2, z
+    state._n, state._w_mean, state._w_m2 = n, w_mean, w_m2
     return changed, zabs
-
-
-def cusum_step(state: DetectorState, x: float) -> bool:
-    """Advance the detector by one sample; True when a change is declared."""
-    return cusum_run(state, (x,))[0][0]
 
 
 def classify_trend(signal, change_index: int, window: int,
@@ -517,7 +505,7 @@ class EventSegmenter:
     violation count inside one open event reaches T2 + 1, a persistent
     emission is produced immediately and the event stays open.
 
-    Each sample may carry a key and a value. The event's peak is the value
+    Each sample carries a key and a value. The event's peak is the value
     of the sample with the largest key, the first one on a tie, among the
     event's violations, or with `span` among all its samples up to and
     including the one that closes it. The state is an open flag, three
@@ -535,18 +523,13 @@ class EventSegmenter:
         self._key = 0.0
         self._peak = 0.0
 
-    @property
-    def open(self) -> bool:
-        return self._open
-
-    def run(self, ks, flags, keys=None, values=None,
+    def run(self, ks, flags, keys, values=None,
             opens: list[int] | None = None) -> list[tuple[int, Segment]]:
         """Advance over a column; (position, emission) pairs in order.
 
-        `values` default to `keys`, and keys to 0. When `opens` is given,
-        the position of every sample that opens an event is appended to it.
+        `values` default to `keys`. When `opens` is given, the position of
+        every sample that opens an event is appended to it.
         """
-        keys = repeat(0.0) if keys is None else keys
         values = keys if values is None else values
         t1, persist, span = self.t1, self.t2 + 1, self.span
         is_open, start, last, count = self._open, self._start, self._last, self._count
@@ -574,22 +557,11 @@ class EventSegmenter:
         self._key, self._peak = best, peak
         return out
 
-    def step(self, k: int, violated: bool, key: float = 0.0) -> list[Segment]:
-        return [s for _, s in self.run((k,), (violated,), (key,))]
-
     def flush(self) -> list[Segment]:
         if not self._open:
             return []
         self._open = False
         return [Segment(self._start, self._last, self._last, self._peak)]
-
-
-def segment_events(flags, t1: int, t2: int, start_k: int = 0):
-    """Run a flag sequence through the state machine; list of (start, end|None)."""
-    flags = [bool(f) for f in flags]
-    seg = EventSegmenter(t1, t2)
-    emitted = [s for _, s in seg.run(range(start_k, start_k + len(flags)), flags)]
-    return [(s.start_k, s.end_k) for s in emitted + seg.flush()]
 
 
 def _trend_label(pre: list[float], post: list[float], cfg: Config) -> str:

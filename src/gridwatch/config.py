@@ -36,7 +36,6 @@ class Config:
     v_normal_low: float = 0.9
     v_normal_high: float = 1.1
     v_interruption: float = 0.1
-    v_table_max: float = 1.8
     v_sustained_s: float = 60.0
     t0_s: float = 1.0 / 60.0
     ts_s: float = 1.0 / 120.0
@@ -56,8 +55,8 @@ class Config:
             (self.var_floor > 0.0, "var_floor must be > 0"),
             (self.t1 >= 1 and self.t2 >= 1, "t1/t2 must be >= 1"),
             (self.m >= 2, "m must be >= 2"),
-            (0.0 < self.v_interruption < self.v_normal_low < self.v_normal_high
-             < self.v_table_max, "voltage bounds out of order"),
+            (0.0 < self.v_interruption < self.v_normal_low < self.v_normal_high,
+             "voltage bounds out of order"),
             (self.ts_s > 0 and self.t0_s > 0, "periods must be > 0"),
             (self.trend_window >= 3, "trend_window must be >= 3"),
             (0 < self.port < 65536, "port out of range"),
@@ -80,7 +79,6 @@ _KEYMAP = {
     ("voltage", "normal_low"): "v_normal_low",
     ("voltage", "normal_high"): "v_normal_high",
     ("voltage", "interruption"): "v_interruption",
-    ("voltage", "table_max"): "v_table_max",
     ("voltage", "sustained_s"): "v_sustained_s",
     ("voltage", "t0_s"): "t0_s",
     ("voltage", "ts_s"): "ts_s",

@@ -473,8 +473,8 @@ def read_stream_csv(path: str | Path) -> tuple[StreamColumns, int]:
     does not parse, k is outside the u64 range that sample indices take on
     the wire, or a part is not finite. Of the good rows, the first at a k
     gives that frame's voltage, and the last at a (k, line) that line's
-    currents; the frame's lines are in the order of their first rows, and
-    frames are in k order.
+    currents; a frame's currents are summed in line-id order, whatever the
+    order of its rows, and frames are in k order.
     """
     parts, skipped = [], 0
     with open(path) as fh, warnings.catch_warnings():
@@ -535,16 +535,10 @@ def _stream_columns(bus: int, rows: np.ndarray) -> StreamColumns:
     frame_at = np.flatnonzero(new_k)
     pair_at = np.flatnonzero(new_pair)
     frame_of_pair = (np.cumsum(new_k) - 1)[pair_at]
-    first_row = order[pair_at]                                    # a pair's first row
-    last_row = order[np.append(pair_at[1:], len(order)) - 1]      # and its last
-    # a line's place in its frame: the order of the pairs' first rows
-    by_first = np.lexsort((first_row, frame_of_pair))
-    pos = np.empty(len(pair_at), dtype=np.intp)
-    starts = np.searchsorted(frame_of_pair[by_first], frame_of_pair[by_first])
-    pos[by_first] = np.arange(len(pair_at)) - starts
+    last_row = order[np.append(pair_at[1:], len(order)) - 1]      # a pair's last row
     v = rows["v"][np.minimum.reduceat(order, frame_at)]    # a frame's first row
     return StreamColumns.assemble(bus, k_s[frame_at], v.view(complex), ids.tolist(),
-                                  frame_of_pair, c_s[pair_at], pos,
+                                  frame_of_pair, c_s[pair_at],
                                   rows["i"][last_row].view(complex))
 
 

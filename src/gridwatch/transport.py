@@ -75,7 +75,7 @@ class Message:
 class FrameRun:
     """Consecutive frame messages of one layout, as columns: `ks` (uint64)
     and `vi` (complex (m, 2, 3)), each frame's voltage and then its line
-    currents summed in wire order onto +0."""
+    currents summed onto +0 in wire order, which is line-id order."""
     sensor: int
     ks: np.ndarray
     vi: np.ndarray

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from gridwatch.analytics import (DetectorState, classify_voltage, cusum_step, qss_residuals,
+from gridwatch.analytics import (DetectorState, classify_voltage, cusum_run, qss_residuals,
                                  window_correlations)
 from gridwatch.central import build_central_model, central_xs
 from gridwatch.config import Config
@@ -185,9 +185,7 @@ def test_criterion_8_cusum_calibration():
     rng = np.random.default_rng(42)
     xs = rng.normal(0.0, 1.0, 1_000_000)
     det = DetectorState()  # defaults nu=0.5, h=5
-    alarms = 0
-    for x in xs:
-        alarms += cusum_step(det, float(x))
+    alarms = sum(cusum_run(det, xs.tolist())[0])
     interval = len(xs) / max(alarms, 1)
     arl_ok = interval >= 1e3
 
@@ -195,14 +193,9 @@ def test_criterion_8_cusum_calibration():
     for t in range(100):
         r = np.random.default_rng(1000 + t)
         det = DetectorState()
-        for x in r.normal(0.0, 1.0, det.warmup):
-            cusum_step(det, float(x))
-        hit = math.inf
-        for i, x in enumerate(r.normal(5.0, 1.0, 50), start=1):
-            if cusum_step(det, float(x)):
-                hit = i
-                break
-        delays.append(hit)
+        cusum_run(det, r.normal(0.0, 1.0, det.warmup).tolist())
+        changed, _ = cusum_run(det, r.normal(5.0, 1.0, 50).tolist())
+        delays.append(changed.index(True) + 1 if True in changed else math.inf)
     mean_delay = float(np.mean(delays))
     step_ok = mean_delay <= 10.0
     ok = arl_ok and step_ok

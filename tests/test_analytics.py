@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from gridwatch import central
 from gridwatch.analytics import (OVERCURRENT, QSS_VALIDITY, VOLTAGE_MAG, DetectorState,
                                  EventSegmenter, FrequencyTracker, LocalEngine,
                                  PhasorFrame, check_overcurrent, classify_trend,
-                                 classify_voltage, complex_power, cusum_step,
-                                 positive_sequence, qss_residuals, segment_events,
-                                 window_correlations)
+                                 classify_voltage, complex_power, cusum_run,
+                                 positive_sequence, qss_residuals, window_correlations)
 from gridwatch.config import Config
 
 
@@ -248,8 +248,8 @@ def test_qss_residual_zero_matrix():
 def test_cusum_accumulators_never_negative():
     rng = np.random.default_rng(1)
     st_ = DetectorState()
-    for x in rng.normal(size=3000):
-        changed = cusum_step(st_, float(x))
+    for x in rng.normal(size=3000).tolist():
+        (changed,), _ = cusum_run(st_, (x,))
         assert st_.g_plus >= 0.0 and st_.g_minus >= 0.0
         if changed:
             assert st_.g_plus == 0.0 and st_.g_minus == 0.0
@@ -257,17 +257,17 @@ def test_cusum_accumulators_never_negative():
 
 def test_cusum_constant_input_never_alarms():
     st_ = DetectorState()
-    assert not any(cusum_step(st_, 3.25) for _ in range(10000))
+    changed, _ = cusum_run(st_, [3.25] * 10000)
+    assert not any(changed)
     assert st_.var_hat <= st_.var_floor
 
 
-def test_cusum_step_detected_quickly():
+def test_cusum_detects_a_step_quickly():
     st_ = DetectorState()
     rng = np.random.default_rng(2)
-    for x in rng.normal(size=st_.warmup):
-        cusum_step(st_, float(x))
+    cusum_run(st_, rng.normal(size=st_.warmup).tolist())
     assert st_.armed
-    hits = [cusum_step(st_, float(x)) for x in rng.normal(loc=5.0, size=10)]
+    hits, _ = cusum_run(st_, rng.normal(loc=5.0, size=10).tolist())
     assert any(hits)
 
 
@@ -276,7 +276,7 @@ def test_cusum_step_detected_quickly():
 def test_cusum_invariants_hypothesis(xs):
     st_ = DetectorState(warmup=5)
     for x in xs:
-        changed = cusum_step(st_, x)
+        (changed,), _ = cusum_run(st_, (x,))
         assert st_.g_plus >= 0.0 and st_.g_minus >= 0.0
         if changed:
             assert st_.g_plus == 0.0 and st_.g_minus == 0.0
@@ -308,17 +308,24 @@ def test_trend_needs_three_samples():
 
 # ---------------------------------------------------------------- segmentation
 
+def _events(flags, t1: int, t2: int):
+    """(start, end or None) of each emission of a flag sequence, flushed."""
+    seg = EventSegmenter(t1, t2)
+    emitted = [s for _, s in seg.run(range(len(flags)), flags, repeat(0.0))]
+    return [(s.start_k, s.end_k) for s in emitted + seg.flush()]
+
+
 def test_segment_isolated_violation():
     t1 = 10
     flags = [False] * 5 + [True] + [False] * 30
-    events = segment_events(flags, t1=t1, t2=100)
+    events = _events(flags, t1=t1, t2=100)
     assert events == [(5, 5)]
 
 
 def test_segment_persistent_then_close():
     t1, t2 = 10, 20
     flags = [True] * 40 + [False] * 30
-    events = segment_events(flags, t1=t1, t2=t2)
+    events = _events(flags, t1=t1, t2=t2)
     # persistent emission once count exceeds t2 (at sample t2), close after quiet
     assert events == [(0, None), (0, 39)]
 
@@ -326,28 +333,26 @@ def test_segment_persistent_then_close():
 def test_segment_persistent_emitted_at_t2():
     t2 = 20
     seg = EventSegmenter(t1=10, t2=t2)
-    emitted = []
-    for k in range(40):
-        emitted += [(k, s.end_k) for s in seg.step(k, True)]
+    emitted = [(j, s.end_k) for j, s in seg.run(range(40), [True] * 40, repeat(0.0))]
     assert emitted == [(t2, None)]
 
 
 def test_segment_two_bursts_two_events():
     flags = [True] * 3 + [False] * 20 + [True] * 2 + [False] * 20
-    events = segment_events(flags, t1=10, t2=100)
+    events = _events(flags, t1=10, t2=100)
     assert events == [(0, 2), (23, 24)]
 
 
 def test_segment_deterministic():
     rng = np.random.default_rng(4)
     flags = list(rng.random(500) < 0.1)
-    a = segment_events(flags, t1=7, t2=12)
-    b = segment_events(flags, t1=7, t2=12)
+    a = _events(flags, t1=7, t2=12)
+    b = _events(flags, t1=7, t2=12)
     assert a == b
 
 
 def test_segment_flush_closes_open_event():
-    events = segment_events([False, True, True], t1=100, t2=100)
+    events = _events([False, True, True], t1=100, t2=100)
     assert events == [(1, 2)]
 
 
@@ -416,8 +421,8 @@ def test_central_change_ks_persistent_then_closed(monkeypatch):
     rng = np.random.default_rng(3)
     xs = rng.normal(size=400) + np.concatenate(
         [np.zeros(100), np.tile([40.0] * 8 + [0.0] * 8, 2), np.zeros(168), np.full(100, 40.0)])
-    det = DetectorState.from_config(cfg)
-    ks = [k for k, x in enumerate(xs) if cusum_step(det, x)]
+    changed, _ = cusum_run(DetectorState.from_config(cfg), xs.tolist())
+    ks = [k for k, c in enumerate(changed) if c]
     # two clusters: a persistent one from the square wave, then a short one
     first, second = [k for k in ks if k < 250], [k for k in ks if k >= 250]
     assert len(first) > cfg.t2 + 1 and 0 < len(second) <= cfg.t2
@@ -459,8 +464,7 @@ def _interruption(n):
 
 def _violations(n):
     seg = EventSegmenter(t1=10, t2=240)
-    for k in range(n):
-        seg.step(k, True)
+    seg.run(range(n), repeat(True), repeat(0.0))
     return seg
 
 

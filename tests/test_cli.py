@@ -211,9 +211,10 @@ m = 24
 
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "gw.cfg"
-    path.write_text("[detector]\nmystery = 3\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config(path)
+    for text in ("[detector]\nmystery = 3\n", "[voltage]\ntable_max = 1.8\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
 
 
 def test_config_bad_value_rejected(tmp_path):
