@@ -94,7 +94,7 @@ class StreamColumns:
                 lines[lid] = (at[a:b] - start, cur[a:b])
         return StreamColumns(self.bus, self.ks[start:stop], self.vi[start:stop], lines)
 
-    def frames(self):
+    def __iter__(self):
         """The frames, built one at a time; each lists its lines by id."""
         taken = dict.fromkeys(self.lines, 0)   # per line, its rows passed
         for j in range(len(self.ks)):
@@ -115,36 +115,31 @@ class StreamColumns:
         last = np.ones(len(order), dtype=bool)   # the last frame of its k
         last[:-1] = ks[order][1:] != ks[order][:-1]
         keep = order[last].tolist()
-        rows, names, cur = [], [], []
+        lines: dict[str, tuple[list, list]] = {}
         for j, i in enumerate(keep):
             for lid, c in frames[i].i_lines.items():
+                rows, cur = lines.setdefault(lid, ([], []))
                 rows.append(j)
-                names.append(lid)
                 cur.append(c)
         v = np.array([frames[i].v for i in keep], dtype=complex).reshape(len(keep), 3)
-        ids = sorted(set(names))
-        code = np.fromiter(map({lid: n for n, lid in enumerate(ids)}.__getitem__, names),
-                           np.intp, len(names))
-        return cls.assemble(bus, ks[keep], v, ids, np.array(rows, dtype=np.intp), code,
-                            np.array(cur, dtype=complex).reshape(len(cur), 3))
+        return cls.assemble(bus, ks[keep], v, {
+            lid: (np.array(rows, dtype=np.intp), np.array(cur, dtype=complex))
+            for lid, (rows, cur) in lines.items()})
 
     @classmethod
-    def assemble(cls, bus: int, ks: np.ndarray, v: np.ndarray, ids: list[str],
-                 rows: np.ndarray, code: np.ndarray, cur: np.ndarray) -> "StreamColumns":
-        """Columns from one entry per (frame, line), in row order: the
-        frame's row, the line's index in the sorted `ids`, and its
-        currents."""
+    def assemble(cls, bus: int, ks: np.ndarray, v: np.ndarray,
+                 lines: dict[str, tuple[np.ndarray, np.ndarray]]) -> "StreamColumns":
+        """Columns from the frames' voltages and each line's rows and currents."""
         vi = np.zeros((len(ks), 2, 3), dtype=complex)
         vi[:, 0] = v
-        lines = {}
         # a non-finite sum makes the sample non-finite, and the central
         # engine skips and counts it
+        by_id = {}
         with np.errstate(invalid="ignore", over="ignore"):
-            for n, lid in enumerate(ids):
-                at = code == n
-                r, c = lines[lid] = rows[at], cur[at]
+            for lid in sorted(lines):
+                r, c = by_id[lid] = lines[lid]
                 vi[r, 1] += c
-        return cls(bus, ks, vi, lines)
+        return cls(bus, ks, vi, by_id)
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ def cmd_serve_local(args) -> int:
     from .transport import pace, serve_local
     cfg = _config(args)
     feeder = load_feeder(find_feeder(args.feeder))
-    frames = pace(_read_stream(args.stream).frames(), args.rate)
+    frames = pace(_read_stream(args.stream), args.rate)
     try:
         stats = serve_local(frames, args.sensor, (args.host, args.port or cfg.port),
                             feeder, cfg, spool_path=args.spool)

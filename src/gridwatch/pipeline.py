@@ -2,8 +2,8 @@
 
 The CLI `analyze` path runs this. Each sensor's stream is held as columns
 (`analytics.StreamColumns`), read from its CSV by `synth.read_stream_csv`
-or converted once from a list of frames; no per-frame objects are built
-between the file and the engines.
+or produced by `synth.generate`; no per-frame objects are built between
+the file and the engines.
 
 The networked processes in `transport.py` do not call `run_offline`; they
 run the same local engine per sensor and feed the same block tracker, and
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analytics import AnomalyReport, LocalEngine, PhasorFrame, StreamColumns
+from .analytics import AnomalyReport, LocalEngine, StreamColumns
 from .central import (CentralChangeRecord, CentralChangeTracker, EventLog,
                       build_central_model, fuse_frames, fuse_reports, group_frames)
 from .config import Config
@@ -35,8 +35,6 @@ from .model import FeederModel, Placement, build_system, partition
 # frames per LocalEngine.run call, and samples per central block: enough to
 # amortise the per-call work, few enough that a block's arrays stay small
 BLOCK_FRAMES = 1024
-
-Stream = StreamColumns | list[PhasorFrame]
 
 
 @dataclass
@@ -60,13 +58,6 @@ def blocks(stream: StreamColumns | None):
     return (stream[s:s + BLOCK_FRAMES] for s in range(0, n, BLOCK_FRAMES))
 
 
-def columns(streams: dict[int, Stream], buses) -> dict[int, StreamColumns]:
-    """The streams of `buses` as columns; a list of frames is converted once,
-    and a bus without a stream has none."""
-    return {b: s if isinstance(s, StreamColumns) else StreamColumns.from_frames(s)
-            for b, s in streams.items() if b in buses}
-
-
 def run_local_engine(feeder: FeederModel, bus: int, stream: StreamColumns | None,
                      cfg: Config | None = None) -> list[AnomalyReport]:
     eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
@@ -78,11 +69,10 @@ def run_local_engine(feeder: FeederModel, bus: int, stream: StreamColumns | None
 
 
 def run_offline(feeder: FeederModel, placement: Placement,
-                local_streams: dict[int, Stream],
-                central_streams: dict[int, Stream] | None = None,
+                local_streams: dict[int, StreamColumns],
+                central_streams: dict[int, StreamColumns] | None = None,
                 cfg: Config | None = None) -> PipelineResult:
-    """Full hierarchy over recorded streams, each as columns or as a list
-    of frames.
+    """Full hierarchy over recorded streams.
 
     `local_streams` feed the per-sensor engines (sensor-side data);
     `central_streams` feed the fusion stage (uplink data, possibly
@@ -90,12 +80,11 @@ def run_offline(feeder: FeederModel, placement: Placement,
     """
     cfg = cfg or Config()
     buses = placement.sensor_buses
-    local = columns(local_streams, buses)
-    central = local if central_streams is None else columns(central_streams, buses)
+    central = local_streams if central_streams is None else central_streams
 
     local_reports: dict[int, list[AnomalyReport]] = {}
     for bus in buses:
-        local_reports[bus] = run_local_engine(feeder, bus, local.get(bus), cfg)
+        local_reports[bus] = run_local_engine(feeder, bus, local_streams.get(bus), cfg)
 
     model = build_central_model(partition(build_system(feeder), placement))
     xs: list[tuple[int, float]] = []

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import PhasorFrame, StreamColumns
+from .analytics import StreamColumns
 from .model import FeederModel, LineSegment, SystemMatrix, build_system
 
 EVENT_KINDS = ("voltage_sag", "slg_fault", "fuse_open", "load_loss",
@@ -314,8 +314,8 @@ def _roll_lateral_loads(feeder: FeederModel, loads: dict[int, np.ndarray]) -> di
 
 
 def generate(scenario: Scenario, feeder: FeederModel
-             ) -> tuple[dict[int, list[PhasorFrame]], GroundTruth]:
-    """Phasor streams per sensor bus plus the scenario's ground truth."""
+             ) -> tuple[dict[int, StreamColumns], GroundTruth]:
+    """Phasor streams per sensor bus, as columns, plus the scenario's ground truth."""
     scenario = replace(scenario, base_loads=_roll_lateral_loads(feeder, scenario.base_loads))
     sensors = scenario.sensors or feeder.bus_ids
     for b in sensors:
@@ -330,52 +330,56 @@ def generate(scenario: Scenario, feeder: FeederModel
     phase = np.cumsum(beta)
 
     # per-sample state with 2-sample raised-cosine blending at transitions
-    keys = [cache._condition(k)[0] for k in range(n)]
     states = [cache.state_for(k) for k in range(n)]
     weights = np.ones(n)
     for k in range(1, n):
-        if keys[k] != keys[k - 1]:
-            for j, w in enumerate((0.25, 0.75)):
-                if k + j < n and keys[k + j] == keys[k]:
-                    weights[k + j] = w
+        if states[k] is not states[k - 1]:
+            weights[k] = 0.25
+            if k + 1 < n and states[k + 1] is states[k]:
+                weights[k + 1] = 0.75
 
-    streams: dict[int, list[PhasorFrame]] = {b: [] for b in sensors}
+    # a channel is a sensor's voltage or one incident line's current, in
+    # the order the noise is drawn: sensor by sensor, the voltage first
     incident = {b: feeder.lines_at(b) for b in sensors}
-    bus_mask = {b: np.array(feeder.bus_phases(b).present) for b in sensors}
-    line_mask = {l.id: np.array(l.phases.present) for l in feeder.lines}
-    sigma = scenario.noise_sigma / np.sqrt(2.0)
+    channels = [(b, l) for b in sensors for l in (None, *incident[b])]
 
-    def noisy(vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        # measurement noise exists only where a conductor exists
-        if scenario.noise_sigma <= 0:
-            return vec
-        n = sigma * (rng.standard_normal(vec.shape) + 1j * rng.standard_normal(vec.shape))
-        return vec + n * mask
-
-    line_of = {}
-    for k in range(n):
-        st = states[k]
-        w = weights[k]
-        if w < 1.0 and k > 0:
-            prev = states[k - 1] if weights[k - 1] == 1.0 else states[max(k - 2, 0)]
-            V = w * st.V + (1.0 - w) * prev.V
-        else:
-            prev = None
-            V = st.V
-        rot = np.exp(1j * phase[k])
-        for b in sensors:
-            i_b = feeder.index_of(b)
-            v = noisy(V[3 * i_b:3 * i_b + 3] * rot, bus_mask[b])
-            i_lines = {}
-            for l in incident[b]:
+    def phasors(st: _State) -> np.ndarray:
+        """The channels' phasors in one state, (channels, 3)."""
+        out = []
+        for b, l in channels:
+            if l is None:
+                i_b = feeder.index_of(b)
+                out.append(st.V[3 * i_b:3 * i_b + 3])
+            else:
                 cur_l = next(cl for cl in st.lines if cl.id == l.id)
-                i_now = _line_current(cur_l, st.V, feeder, b)
-                if prev is not None:
-                    prev_l = next(cl for cl in prev.lines if cl.id == l.id)
-                    i_prev = _line_current(prev_l, prev.V, feeder, b)
-                    i_now = w * i_now + (1.0 - w) * i_prev
-                i_lines[l.id] = noisy(i_now * rot, line_mask[l.id])
-            streams[b].append(PhasorFrame(k=k, bus=b, v=v, i_lines=i_lines))
+                out.append(_line_current(cur_l, st.V, feeder, b))
+        return np.array(out)
+
+    distinct: dict[int, tuple[int, _State]] = {}   # id(state) -> (its row in `solved`, state)
+    at = np.array([distinct.setdefault(id(st), (len(distinct), st))[0] for st in states],
+                  dtype=np.intp)
+    solved = np.array([phasors(st) for _, st in distinct.values()])
+    x = solved[at]                                     # (n, channels, 3)
+    for k in np.flatnonzero(weights < 1.0):
+        w = weights[k]
+        prev = at[k - 1] if weights[k - 1] == 1.0 else at[max(k - 2, 0)]
+        x[k] = w * solved[at[k]] + (1.0 - w) * solved[prev]
+    x *= np.exp(1j * phase)[:, None, None]
+    if scenario.noise_sigma > 0:
+        # measurement noise exists only where a conductor exists; per
+        # sample and channel, 3 real parts and then 3 imaginary
+        mask = np.array([(feeder.bus_phases(b) if l is None else l.phases).present
+                         for b, l in channels])
+        z = rng.standard_normal((n, len(channels), 6))
+        x += scenario.noise_sigma / np.sqrt(2.0) * (z[..., :3] + 1j * z[..., 3:]) * mask
+
+    ks, rows = np.arange(n, dtype=np.uint64), np.arange(n)
+    streams: dict[int, StreamColumns] = {}
+    c = 0
+    for b in sensors:
+        lines = {l.id: (rows, x[:, c + j].copy()) for j, l in enumerate(incident[b], 1)}
+        streams[b] = StreamColumns.assemble(b, ks, x[:, c], lines)
+        c += 1 + len(incident[b])
 
     base_V = states[0].V if not any(e.start_k == 0 for e in scenario.events) else None
     truth = []
@@ -404,31 +408,30 @@ def _expected_rules(kind: str) -> list[str]:
     }[kind]
 
 
-def apply_replay_attack(streams: dict[int, list[PhasorFrame]], sensor: int,
+def apply_replay_attack(streams: dict[int, StreamColumns], sensor: int,
                         start: int, end: int, window: int = 120
-                        ) -> dict[int, list[PhasorFrame]]:
-    """Replace one sensor's frames in [start, end) with replayed history.
+                        ) -> dict[int, StreamColumns]:
+    """Replace one sensor's frames at k in [start, end) with replayed history.
 
-    The replay cycles the `window` frames immediately before `start`; other
-    sensors are untouched. This models tampering on the uplink, so it is
-    applied to the central engine's copy only.
+    The replay cycles the `window` rows immediately before row `start`;
+    other sensors are untouched. This models tampering on the uplink, so it
+    is applied to the central engine's copy only.
     """
     if sensor not in streams:
         raise ScenarioError(f"sensor {sensor} not in streams")
     src = streams[sensor]
     if start < window or start < 1:
         raise ScenarioError("attack start precedes available history")
-    hist = src[start - window:start]
-    out = []
-    for f in src:
-        if start <= f.k < end:
-            h = hist[(f.k - start) % window]
-            out.append(PhasorFrame(k=f.k, bus=f.bus, v=h.v, i_lines=h.i_lines))
-        else:
-            out.append(f)
-    new = dict(streams)
-    new[sensor] = out
-    return new
+    take = np.arange(len(src))   # the row each frame's phasors come from
+    hit = (src.ks >= start) & (src.ks < end)
+    take[hit] = start - window + (src.ks[hit].astype(np.intp) - start) % window
+    lines = {}
+    for lid, (at, cur) in src.lines.items():
+        pos = np.full(len(src), -1)   # the line's entry at each row, if any
+        pos[at] = np.arange(len(at))
+        p = pos[take]
+        lines[lid] = (np.flatnonzero(p >= 0), cur[p[p >= 0]])
+    return {**streams, sensor: StreamColumns(src.bus, src.ks, src.vi[take], lines)}
 
 
 # ---------------------------------------------------------------- CSV I/O
@@ -443,16 +446,19 @@ def iso_time(start_time: str, k: int, sample_rate: float) -> str:
     return (t0 + timedelta(seconds=k / sample_rate)).isoformat()
 
 
-def write_stream_csv(path: str | Path, frames: list[PhasorFrame],
+def write_stream_csv(path: str | Path, stream: StreamColumns,
                      start_time: str, sample_rate: float = 120.0) -> None:
-    lines = [CSV_HEADER]
-    for f in frames:
-        t = iso_time(start_time, f.k, sample_rate)
-        v = ",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in f.v)
-        for lid in sorted(f.i_lines):
-            i = ",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in f.i_lines[lid])
-            lines.append(f"{f.k},{t},{v},{lid},{i}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per frame and line, frames in row order and lines by id."""
+    k = stream.ks.tolist()
+    head = [f"{kk},{iso_time(start_time, kk, sample_rate)},{','.join(map(repr, v))}"
+            for kk, v in zip(k, stream.v.view(float).tolist())]
+    rows, text = [np.empty(0, np.intp)], []
+    for lid, (at, cur) in sorted(stream.lines.items()):
+        rows.append(at)
+        text += [f"{head[j]},{lid},{','.join(map(repr, i))}"
+                 for j, i in zip(at.tolist(), cur.view(float).tolist())]
+    order = np.argsort(np.concatenate(rows), kind="stable").tolist()
+    Path(path).write_text("\n".join([CSV_HEADER, *map(text.__getitem__, order)]) + "\n")
 
 
 # the columns read from a row, and how: k, the voltage's six parts, the
@@ -537,9 +543,12 @@ def _stream_columns(bus: int, rows: np.ndarray) -> StreamColumns:
     frame_of_pair = (np.cumsum(new_k) - 1)[pair_at]
     last_row = order[np.append(pair_at[1:], len(order)) - 1]      # a pair's last row
     v = rows["v"][np.minimum.reduceat(order, frame_at)]    # a frame's first row
-    return StreamColumns.assemble(bus, k_s[frame_at], v.view(complex), ids.tolist(),
-                                  frame_of_pair, c_s[pair_at],
-                                  rows["i"][last_row].view(complex))
+    line_of_pair, cur = c_s[pair_at], rows["i"][last_row].view(complex)
+    lines = {}
+    for n, lid in enumerate(ids.tolist()):
+        at = line_of_pair == n
+        lines[lid] = (frame_of_pair[at], cur[at])
+    return StreamColumns.assemble(bus, k_s[frame_at], v.view(complex), lines)
 
 
 def _bus_from_name(path: Path) -> int:
@@ -548,12 +557,12 @@ def _bus_from_name(path: Path) -> int:
     return int(m.group(1)) if m else -1
 
 
-def write_streams(outdir: str | Path, streams: dict[int, list[PhasorFrame]],
+def write_streams(outdir: str | Path, streams: dict[int, StreamColumns],
                   scenario: Scenario, truth: GroundTruth) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for bus, frames in sorted(streams.items()):
-        write_stream_csv(outdir / f"bus{bus}.csv", frames,
+    for bus, stream in sorted(streams.items()):
+        write_stream_csv(outdir / f"bus{bus}.csv", stream,
                          scenario.start_time, scenario.sample_rate)
     (outdir / "groundtruth.json").write_text(truth.to_json())
     (outdir / "scenario.json").write_text(scenario.to_json())

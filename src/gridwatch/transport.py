@@ -546,7 +546,8 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
     sensors, and a second live session of one sensor, are rejected;
     duplicate k keeps the first frame. A session that ends in any of these
     ways stops holding samples back; samples still pending at the timeout
-    are released as they are.
+    are released as they are. Each session's reports are kept in arrival
+    order, the order its engine emitted them, as `run_offline` keeps them.
 
     Each fused block's (k, x) pairs go to `sink`; without one they are
     collected in the result's `xs`.
@@ -683,8 +684,6 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
     released.extend(aligner.flush())
     fuse()
     records.extend(tracker.finish())
-    reports.sort(key=lambda p: (p[0], p[1].rule, p[1].bus, p[1].line or "",
-                                p[1].start_k, p[1].end_k if p[1].end_k is not None else -1))
     log = fuse_reports(reports, records)
     return CentralResult(event_log=log, xs=xs, sessions=sessions,
                          rejected=rejected, protocol_errors=protocol_errors,

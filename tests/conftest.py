@@ -112,11 +112,76 @@ def raw_sensor_session(port, sensor, frames, bye, wait_s=10.0):
 
 
 def fuse_streams(model, streams):
-    """Recorded streams grouped by k and fused into one block."""
-    from gridwatch.analytics import StreamColumns
+    """Recorded streams (columns) grouped by k and fused into one block."""
     from gridwatch.central import fuse_frames, group_frames
 
-    columns = {b: StreamColumns.from_frames(frames) for b, frames in streams.items()}
-    released = group_frames(model.sensor_buses, {b: (c.ks, c.vi) for b, c in columns.items()},
+    released = group_frames(model.sensor_buses, {b: (c.ks, c.vi) for b, c in streams.items()},
                             block=1 << 30)
     return fuse_frames(model, [r for rs in released for r in rs])
+
+
+def reference_frames(scenario, feeder):
+    """Per-frame synthesis, one PhasorFrame per sensor per sample: the loop
+    that `synth.generate` replaced, kept as its oracle (bus -> frames)."""
+    from dataclasses import replace
+    from gridwatch.analytics import PhasorFrame
+    from gridwatch.synth import _line_current, _roll_lateral_loads, _StateCache
+
+    scenario = replace(scenario, base_loads=_roll_lateral_loads(feeder, scenario.base_loads))
+    sensors = scenario.sensors or feeder.bus_ids
+    cache = _StateCache(scenario, feeder)
+    rng = np.random.default_rng(scenario.seed)
+    n = scenario.samples
+    beta = np.zeros(n)
+    for start_k, b in scenario.beta_profile:
+        beta[start_k:] = b
+    phase = np.cumsum(beta)
+    keys = [cache._condition(k)[0] for k in range(n)]
+    states = [cache.state_for(k) for k in range(n)]
+    weights = np.ones(n)
+    for k in range(1, n):
+        if keys[k] != keys[k - 1]:
+            for j, w in enumerate((0.25, 0.75)):
+                if k + j < n and keys[k + j] == keys[k]:
+                    weights[k + j] = w
+    streams = {b: [] for b in sensors}
+    sigma = scenario.noise_sigma / np.sqrt(2.0)
+
+    def noisy(vec, mask):
+        if scenario.noise_sigma <= 0:
+            return vec
+        n = sigma * (rng.standard_normal(vec.shape) + 1j * rng.standard_normal(vec.shape))
+        return vec + n * np.array(mask)
+
+    for k in range(n):
+        st, w = states[k], weights[k]
+        if w < 1.0 and k > 0:
+            prev = states[k - 1] if weights[k - 1] == 1.0 else states[max(k - 2, 0)]
+            V = w * st.V + (1.0 - w) * prev.V
+        else:
+            prev, V = None, st.V
+        rot = np.exp(1j * phase[k])
+        for b in sensors:
+            i_b = feeder.index_of(b)
+            v = noisy(V[3 * i_b:3 * i_b + 3] * rot, feeder.bus_phases(b).present)
+            i_lines = {}
+            for l in feeder.lines_at(b):
+                i_now = _line_current(next(cl for cl in st.lines if cl.id == l.id),
+                                      st.V, feeder, b)
+                if prev is not None:
+                    i_prev = _line_current(next(cl for cl in prev.lines if cl.id == l.id),
+                                           prev.V, feeder, b)
+                    i_now = w * i_now + (1.0 - w) * i_prev
+                i_lines[l.id] = noisy(i_now * rot, l.phases.present)
+            streams[b].append(PhasorFrame(k=k, bus=b, v=v, i_lines=i_lines))
+    return streams
+
+
+def edit_frame(stream, j, **fields):
+    """A stream's columns with the fields of its frame j replaced."""
+    from dataclasses import replace
+    from gridwatch.analytics import StreamColumns
+
+    frames = list(stream)
+    frames[j] = replace(frames[j], **fields)
+    return StreamColumns.from_frames(frames)

@@ -271,7 +271,7 @@ def test_criterion_10_network_transparency(slgf_world, ieee34):
     for b in placement.sensor_buses[:1]:
         from gridwatch.transport import FRAME, Message, encode
         valid_seed += encode(Message(kind=FRAME, sensor=b, k=0,
-                                     frame=streams[b][0]))
+                                     frame=next(iter(streams[b]))))
     n_random = 700_000
     n_mutated = 300_000
     blob = rng.integers(0, 256, size=64 * n_random // 8, dtype=np.uint8).tobytes()

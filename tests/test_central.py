@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridwatch.analytics import AnomalyReport, PhasorFrame
+from gridwatch.analytics import AnomalyReport, PhasorFrame, StreamColumns
 from gridwatch.central import (NULL_PROJECTOR, SMALLEST_SINGULAR,
                                CentralChangeRecord, CentralChangeTracker,
                                EventLog, FusedBlock, build_central_model,
@@ -10,7 +10,7 @@ from gridwatch.central import (NULL_PROJECTOR, SMALLEST_SINGULAR,
 from gridwatch.config import Config
 from gridwatch.model import Placement, build_system, partition
 
-from conftest import fuse_streams, random_radial_feeder, toy_feeder
+from conftest import edit_frame, fuse_streams, random_radial_feeder, toy_feeder
 
 
 def x_of(model, d_a):
@@ -142,7 +142,7 @@ def test_fuse_frames_ordering_and_completeness(ieee34_system):
                        i_lines={"6-7": np.full(3, 0.1 + 0j), "7-8": np.full(3, 0.2 + 0j)}),
         31: PhasorFrame(k=0, bus=31, v=np.full(3, 2 + 0j), i_lines={}),
     }
-    fused = fuse_streams(model, {b: [f] for b, f in frames.items()})
+    fused = fuse_streams(model, {b: StreamColumns.from_frames([f]) for b, f in frames.items()})
     assert fused.ks == [0]
     assert fused.complete.tolist() == [False]     # sensor 19 is missing
     d_a = fused.D[0]
@@ -195,22 +195,21 @@ def test_fuse_frames_matches_loop_reference_bitwise(ieee34_system):
         if trial % 4 == 2:
             del frames[19]
         released.append((trial, frames))
-    streams = {b: [frames[b] for _, frames in released if b in frames]
+    streams = {b: StreamColumns.from_frames([frames[b] for _, frames in released if b in frames])
                for b in model.sensor_buses}
     block = fuse_streams(model, streams)
     assert block.ks == list(range(20))
     assert block.complete.tolist() == [t % 4 != 2 for t in range(20)]
     for (_, frames), row in zip(released, block.D):
         assert row.tobytes() == _fuse_reference(model, frames).tobytes()
-        alone = fuse_streams(model, {b: [f] for b, f in frames.items()})
+        alone = fuse_streams(model, {b: StreamColumns.from_frames([f])
+                                     for b, f in frames.items()})
         assert alone.D.tobytes() == row.tobytes()
 
 
 def test_frame_columns_take_frames_in_k_order_and_the_last_of_one_k():
     """Columns of an unordered stream with a repeated k equal those of the
     stream sorted by k with only the later frame of that k."""
-    from gridwatch.analytics import StreamColumns
-
     rng = np.random.default_rng(5)
 
     def frame(k):
@@ -353,16 +352,13 @@ def test_offline_run_counts_opposite_infinities(ieee34):
 
     sc = Scenario.from_json(scenario_path("quiet").read_text())
     streams, _ = generate(sc, ieee34)
-    central = dict(streams)
-    central[7] = list(streams[7])
-    f = central[7][10]
     inf = np.full(3, complex(np.inf, np.inf))
-    central[7][10] = PhasorFrame(k=f.k, bus=7, v=f.v, i_lines={"6-7": inf, "7-8": -inf})
+    central = {**streams, 7: edit_frame(streams[7], 10, i_lines={"6-7": inf, "7-8": -inf})}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = run_offline(ieee34, Placement(sc.sensors), streams, central)
     assert (res.skipped, res.gaps) == (1, 0)
-    assert f.k not in [k for k, _ in res.xs] and len(res.xs) == len(streams[7]) - 1
+    assert 10 not in [k for k, _ in res.xs] and len(res.xs) == len(streams[7]) - 1
 
 
 def _fused_stream(ieee34):
@@ -374,10 +370,9 @@ def _fused_stream(ieee34):
 
     sc = Scenario.from_json(scenario_path("fault_at_sensor").read_text())
     streams, _ = generate(replace(sc, noise_sigma=1e-3), ieee34)
-    streams[19] = [f for f in streams[19] if f.k not in (40, 41, 450)]
-    f = streams[7][300]
-    streams[7][300] = PhasorFrame(k=f.k, bus=7, v=np.full(3, complex(np.nan, 0.0)),
-                                  i_lines=f.i_lines)
+    streams[19] = StreamColumns.from_frames([f for f in streams[19]
+                                             if f.k not in (40, 41, 450)])
+    streams[7] = edit_frame(streams[7], 300, v=np.full(3, complex(np.nan, 0.0)))
     model = build_central_model(partition(build_system(ieee34), Placement(sc.sensors)))
     return model, fuse_streams(model, streams)
 
@@ -499,7 +494,7 @@ def test_consistency_bound_on_bundled_steady_state(ieee34):
     d = np.zeros(6 * B, dtype=complex)
     for b, s in streams_all.items():
         i = ieee34.index_of(b)
-        f = s[0]
+        f = next(iter(s))
         inj = sum(f.i_lines.values()) if f.i_lines else np.zeros(3, dtype=complex)
         d[3 * i:3 * i + 3] = inj
         d[3 * B + 3 * i:3 * B + 3 * i + 3] = f.v

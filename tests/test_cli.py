@@ -326,9 +326,9 @@ def _serve_central_with(tmp_path, send19, timeout="60"):
         ["serve-central", "--feeder", "ieee34", "--placement", "7,19",
          "--port", str(port), "--out", str(tmp_path / "out"), "--timeout", timeout])))
     t.start()
-    frames19 = list(read_stream_csv(streams / "bus19.csv")[0].frames())
+    frames19 = list(read_stream_csv(streams / "bus19.csv")[0])
     send19(port, frames19)
-    serve_local(read_stream_csv(streams / "bus7.csv")[0].frames(), 7, ("127.0.0.1", port),
+    serve_local(read_stream_csv(streams / "bus7.csv")[0], 7, ("127.0.0.1", port),
                 load_feeder(find_feeder("ieee34")))
     t.join(timeout=30.0)
     assert not t.is_alive()

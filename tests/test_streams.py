@@ -70,7 +70,7 @@ def assert_same_as_oracle(path):
     assert skipped == want_skipped
     assert got.bus == 7 and len(got) == len(want)
     assert got.ks.dtype == np.uint64
-    for a, b in zip(want, got.frames()):
+    for a, b in zip(want, got):
         assert a.k == b.k
         assert a.v.tobytes() == b.v.tobytes()
         assert sorted(a.i_lines) == list(b.i_lines)
@@ -296,7 +296,7 @@ def test_row_ranges_and_frames_round_trip():
     for a, b in ((0, 100), (10, 17), (50, 50), (99, 200)):
         part = cols[a:b]
         assert len(part) == len(frames[a:b])
-        back = list(part.frames())
+        back = list(part)
         for f, g in zip(frames[a:b], back):
             assert (f.k, f.v.tobytes()) == (g.k, g.v.tobytes())
             assert {l: i.tobytes() for l, i in f.i_lines.items()} == \
@@ -314,14 +314,14 @@ def test_reader_memory_per_frame(tmp_path):
                           i_lines={"6-7": rng.normal(size=3) + 0j, "7-8": rng.normal(size=3) + 0j})
               for k in range(n)]
     path = tmp_path / "bus7.csv"
-    write_stream_csv(path, frames, "2026-01-01T00:00:00+00:00")
+    write_stream_csv(path, StreamColumns.from_frames(frames), "2026-01-01T00:00:00+00:00")
     del frames
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         kept = read_stream_csv(path)
         retained = tracemalloc.get_traced_memory()[0] - before
-        frames = kept[0].frames()
+        frames = iter(kept[0])
         first = next(frames)
         building = tracemalloc.get_traced_memory()[0] - before - retained
     finally:
@@ -334,7 +334,7 @@ def test_reader_memory_per_frame(tmp_path):
 @pytest.mark.parametrize("name", ["slgf", "fault_at_sensor", "load_loss", "quiet"])
 def test_offline_run_same_from_csv_columns_and_generated_frames(tmp_path, name):
     """run_offline over the CSVs' columns equals run_offline over the
-    generator's frames, byte for byte."""
+    columns the generator returns, byte for byte."""
     scenario = Scenario.from_json(scenario_path(name).read_text())
     feeder = load_feeder(DATA / f"{scenario.feeder}.feeder")
     streams, truth = generate(scenario, feeder)

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridwatch.analytics import complex_power, window_correlations
+from gridwatch.analytics import PhasorFrame, StreamColumns, complex_power, window_correlations
 from gridwatch.model import build_system
-from gridwatch.synth import (Event, GroundTruth, Scenario, ScenarioError,
-                             apply_replay_attack, generate, read_stream_csv,
+from gridwatch.synth import (CSV_HEADER, Event, GroundTruth, Scenario, ScenarioError,
+                             apply_replay_attack, generate, iso_time, read_stream_csv,
                              solve_network, write_stream_csv, write_streams,
                              SLACK_V)
 
-from conftest import scenario_path, toy_feeder
+from conftest import reference_frames, scenario_path, toy_feeder
 
 
 def small_scenario(feeder, **kw):
@@ -23,16 +23,14 @@ def small_scenario(feeder, **kw):
     return Scenario(**args)
 
 
-def stack_d(feeder, frame_by_bus):
+def stack_d(feeder, vi_by_bus):
+    """d = [injections; voltages] from each sensor's (voltage, summed current) row."""
     B = feeder.bus_count
     d = np.zeros(6 * B, dtype=complex)
-    for b, f in frame_by_bus.items():
+    for b, (v, inj) in vi_by_bus.items():
         i = feeder.index_of(b)
-        inj = np.zeros(3, dtype=complex)
-        for cur in f.i_lines.values():
-            inj += cur
         d[3 * i:3 * i + 3] = inj
-        d[3 * B + 3 * i:3 * B + 3 * i + 3] = f.v
+        d[3 * B + 3 * i:3 * B + 3 * i + 3] = v
     return d
 
 
@@ -43,7 +41,7 @@ def test_construction_consistency_sigma_zero(ieee34):
     streams, _ = generate(sc, ieee34)
     n = len(streams[1])
     for k in range(n):
-        d = stack_d(ieee34, {b: s[k] for b, s in streams.items()})
+        d = stack_d(ieee34, {b: s.vi[k] for b, s in streams.items()})
         assert np.linalg.norm(sysm.H @ d) <= 1e-10 * np.linalg.norm(d)
 
 
@@ -52,8 +50,7 @@ def test_constant_beta_rank_one(ieee34):
     sc = small_scenario(ieee34, duration_s=0.5, sensors=(7,),
                         beta_profile=((0, beta),))
     streams, _ = generate(sc, ieee34)
-    R = window_correlations(np.array([f.v for f in streams[7]]),
-                            np.array([f.i_lines["6-7"] for f in streams[7]]), 12)
+    R = window_correlations(streams[7].v, streams[7].lines["6-7"][1], 12)
     assert len(R) == len(streams[7]) - 11
     s = np.linalg.svd(R, compute_uv=False)
     assert (s[:, 1] / s[:, 0]).max() <= 1e-8
@@ -65,7 +62,7 @@ def test_noise_calibration_within_five_percent(ieee34):
     noisy = replace(base, noise_sigma=sigma)
     clean_streams, _ = generate(base, ieee34)
     noisy_streams, _ = generate(noisy, ieee34)
-    diffs = np.array([nf.v - cf.v for nf, cf in zip(noisy_streams[7], clean_streams[7])])
+    diffs = noisy_streams[7].v - clean_streams[7].v
     var = np.mean(np.abs(diffs) ** 2)
     assert var == pytest.approx(sigma ** 2, rel=0.05)
     assert len(diffs) * 3 >= 10_000
@@ -89,8 +86,8 @@ def test_load_loss_event_locality():
     # off-path branch moves only through the sibling load's voltage
     # sensitivity (constant-power coupling); the source path moves by the
     # whole lost load current
-    sib = np.abs(streams[3][30].i_lines["2-3"] - streams[3][10].i_lines["2-3"]).max()
-    path = np.abs(streams[2][30].i_lines["1-2"] - streams[2][10].i_lines["1-2"]).max()
+    sib = np.abs(streams[3].lines["2-3"][1][30] - streams[3].lines["2-3"][1][10]).max()
+    path = np.abs(streams[2].lines["1-2"][1][30] - streams[2].lines["1-2"][1][10]).max()
     assert path > 100 * sib
     assert 4 in truth.events[0]["affected_buses"]
 
@@ -101,8 +98,8 @@ def test_load_loss_event_locality():
                    events=(Event(kind="load_loss", bus=4, start_k=20, end_k=40,
                                  magnitude=1.0),))
     streams2, _ = generate(sc2, feeder)
-    assert np.abs(streams2[3][10].i_lines["2-3"]).max() <= 1e-12
-    assert np.abs(streams2[3][30].i_lines["2-3"]).max() <= 1e-12
+    assert np.abs(streams2[3].lines["2-3"][1][10]).max() <= 1e-12
+    assert np.abs(streams2[3].lines["2-3"][1][30]).max() <= 1e-12
 
 
 def test_reproducibility_same_seed(ieee34):
@@ -122,9 +119,8 @@ def test_power_conservation_lossless_line():
     sc = Scenario(feeder="toy", duration_s=0.1, base_loads=loads, noise_sigma=0.0,
                   sensors=(1, 2), seed=0, events=())
     streams, _ = generate(sc, feeder)
-    f1, f2 = streams[1][0], streams[2][0]
-    p1, _ = complex_power(f1.v, f1.i_lines["1-2"])
-    p2, _ = complex_power(f2.v, f2.i_lines["1-2"])
+    p1, _ = complex_power(streams[1].v[0], streams[1].lines["1-2"][1][0])
+    p2, _ = complex_power(streams[2].v[0], streams[2].lines["1-2"][1][0])
     assert abs(p1.sum() + p2.sum()) <= 1e-9
 
 
@@ -133,8 +129,8 @@ def test_voltage_sag_event(ieee34):
                         events=(Event(kind="voltage_sag", bus=1, start_k=20,
                                       end_k=40, magnitude=0.5),))
     streams, _ = generate(sc, ieee34)
-    assert np.abs(streams[7][30].v).max() < 0.6
-    assert np.abs(streams[7][5].v).min() > 0.9
+    assert np.abs(streams[7].v[30]).max() < 0.6
+    assert np.abs(streams[7].v[5]).min() > 0.9
 
 
 def test_fuse_open_deenergizes_downstream(ieee34):
@@ -142,10 +138,10 @@ def test_fuse_open_deenergizes_downstream(ieee34):
                         events=(Event(kind="fuse_open", line="25-26", phase="a",
                                       start_k=20, end_k=50),))
     streams, _ = generate(sc, ieee34)
-    assert abs(streams[26][30].v[0]) == 0.0   # phase a islanded
-    assert abs(streams[26][30].v[1]) > 0.8    # healthy phases still fed
-    assert abs(streams[27][30].v[0]) == 0.0
-    assert abs(streams[26][5].v[0]) > 0.8
+    assert abs(streams[26].v[30, 0]) == 0.0   # phase a islanded
+    assert abs(streams[26].v[30, 1]) > 0.8    # healthy phases still fed
+    assert abs(streams[27].v[30, 0]) == 0.0
+    assert abs(streams[26].v[5, 0]) > 0.8
 
 
 def test_solver_reports_interval_on_divergence(ieee34):
@@ -163,6 +159,62 @@ def test_solve_network_slack_only():
     assert np.allclose(V[3:], SLACK_V)
 
 
+def assert_same_columns(got, want):
+    """Every word of two streams' columns equal, sign bits included."""
+    assert got.bus == want.bus and list(got.lines) == list(want.lines)
+    assert got.ks.dtype == want.ks.dtype and got.ks.tobytes() == want.ks.tobytes()
+    assert got.vi.shape == want.vi.shape and got.vi.tobytes() == want.vi.tobytes()
+    for lid, (at, cur) in want.lines.items():
+        assert np.array_equal(got.lines[lid][0], at)
+        assert got.lines[lid][1].shape == cur.shape
+        assert got.lines[lid][1].tobytes() == cur.tobytes()
+
+
+def short_scenario(name):
+    """A bundled scenario cut to an eighth of its length, events included,
+    with noise; the quiet one gets a one-sample sag and a load ramp, so
+    that transitions follow each other at consecutive samples."""
+    sc = Scenario.from_json(scenario_path(name).read_text())
+    events = tuple(replace(e, start_k=e.start_k // 8, end_k=e.end_k // 8) for e in sc.events)
+    if not events:
+        events = (Event(kind="voltage_sag", start_k=10, end_k=11, magnitude=0.9),
+                  Event(kind="load_step", start_k=30, end_k=36, bus=25, magnitude=1.5))
+    return replace(sc, duration_s=sc.duration_s / 8, noise_sigma=1e-3, events=events)
+
+
+@pytest.mark.parametrize("name", ["slgf", "fault_at_sensor", "load_loss", "quiet"])
+def test_generate_matches_per_frame_reference(ieee34, name):
+    sc = short_scenario(name)
+    streams, _ = generate(sc, ieee34)
+    ref = reference_frames(sc, ieee34)
+    assert list(streams) == list(ref)
+    for b, frames in ref.items():
+        assert_same_columns(streams[b], StreamColumns.from_frames(frames))
+
+
+def test_replay_attack_matches_per_frame_reference(ieee34):
+    sc = short_scenario("slgf")
+    start, end, window = 40, 90, 30
+    attacked = apply_replay_attack(generate(sc, ieee34)[0], 19, start, end, window)
+    frames = reference_frames(sc, ieee34)[19]
+    hist = frames[start - window:start]
+    for j, f in enumerate(frames):   # the per-frame replay that columns replaced
+        if start <= f.k < end:
+            h = hist[(f.k - start) % window]
+            frames[j] = PhasorFrame(k=f.k, bus=f.bus, v=h.v, i_lines=h.i_lines)
+    assert_same_columns(attacked[19], StreamColumns.from_frames(frames))
+
+
+def test_generate_rows_independent_of_length(ieee34):
+    """The first n rows of a 2n-sample run equal an n-sample run, bit for bit."""
+    sc = short_scenario("slgf")
+    n = sc.samples
+    whole, _ = generate(replace(sc, duration_s=2 * sc.duration_s), ieee34)
+    half, _ = generate(sc, ieee34)
+    for b, s in half.items():
+        assert_same_columns(whole[b][:n], s)
+
+
 # ---------------------------------------------------------------- replay attack
 
 def _mini_streams(ieee34, n=400):
@@ -175,15 +227,18 @@ def _mini_streams(ieee34, n=400):
 def test_replay_attack_cycles_history(ieee34):
     streams = _mini_streams(ieee34)
     out = apply_replay_attack(streams, 7, 200, 300, window=50)
-    src = streams[7]
+    src, got = list(streams[7]), list(out[7])
     for k in range(200, 300):
         expect = src[150 + (k - 200) % 50]
-        assert np.array_equal(out[7][k].v, expect.v)
-        assert out[7][k].k == k
-    assert np.array_equal(out[7][199].v, src[199].v)
-    assert np.array_equal(out[7][300].v, src[300].v)
-    for k in range(len(src)):  # other sensor untouched
-        assert np.array_equal(out[19][k].v, streams[19][k].v)
+        assert np.array_equal(got[k].v, expect.v)
+        assert got[k].i_lines.keys() == expect.i_lines.keys()
+        for lid in expect.i_lines:
+            assert np.array_equal(got[k].i_lines[lid], expect.i_lines[lid])
+        assert got[k].k == k
+    assert np.array_equal(got[199].v, src[199].v)
+    assert np.array_equal(got[300].v, src[300].v)
+    assert np.array_equal(out[7].vi[200:300], streams[7].vi[150 + np.arange(100) % 50])
+    assert out[19] is streams[19]  # other sensor untouched
 
 
 def test_replay_attack_requires_history(ieee34):
@@ -208,11 +263,28 @@ def test_csv_roundtrip(tmp_path, ieee34):
     back, skipped = read_stream_csv(path)
     assert skipped == 0
     assert len(back) == len(streams[7])
-    for a, b in zip(streams[7], back.frames()):
+    for a, b in zip(streams[7], back):
         assert a.k == b.k and b.bus == 7
         assert np.array_equal(a.v, b.v)
         for lid in a.i_lines:
             assert np.array_equal(a.i_lines[lid], b.i_lines[lid])
+
+
+def test_csv_rows_by_frame_then_line_id(tmp_path):
+    """One row per frame and line, frames in k order and lines by id; a
+    frame without a line has no row for it, and every part is its repr."""
+    rng = np.random.default_rng(2)
+    c3 = lambda: (rng.normal(size=3) + 1j * rng.normal(size=3)) * 10.0 ** rng.integers(-9, 9)
+    frames = [PhasorFrame(k=k, bus=7, v=np.array([complex(-0.0, 0.0), *c3()[1:]]),
+                          i_lines={lid: c3() for lid in ("7-9", "6-7", "7-8")[k % 2:1 + k % 4]})
+              for k in range(40)]
+    parts = lambda c: ",".join(repr(float(x)) for z in c for x in (z.real, z.imag))
+    start = "2026-01-01T00:00:00+00:00"
+    want = [CSV_HEADER] + [f"{f.k},{iso_time(start, f.k, 120.0)},{parts(f.v)},{lid},"
+                           f"{parts(f.i_lines[lid])}" for f in frames for lid in sorted(f.i_lines)]
+    path = tmp_path / "bus7.csv"
+    write_stream_csv(path, StreamColumns.from_frames(frames), start)
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_csv_malformed_rows_skipped(tmp_path, ieee34):

@@ -18,7 +18,7 @@ from gridwatch.transport import (BYE, FRAME, HEARTBEAT, HELLO, REPORT,
                                  TruncatedError, VersionError, decode, encode,
                                  pace, serve_central, serve_local)
 
-from conftest import raw_sensor_session
+from conftest import raw_sensor_session, scenario_path
 
 
 def sample_frame(k=3, bus=7):
@@ -327,7 +327,8 @@ def test_central_path_leaves_decoded_arrays_alone(ieee34):
     assert not frame.v.flags.writeable
     assert not any(i.flags.writeable for i in frame.i_lines.values())
     xs = {}
-    for name, frames in (("decoded", decoded), ("original", streams)):
+    original = {b: list(s) for b, s in streams.items()}
+    for name, frames in (("decoded", decoded), ("original", original)):
         xs[name] = got = []
         tracker = CentralChangeTracker(model, Config(),
                                        sink=lambda ks, x, got=got: got.extend(zip(ks, x)))
@@ -446,7 +447,7 @@ def test_replay_csv_roundtrip(tmp_path, ieee34):
     streams, _ = generate(sc, ieee34)
     path = tmp_path / "bus7.csv"
     write_stream_csv(path, streams[7], sc.start_time)
-    back = list(pace(read_stream_csv(path)[0].frames(), rate_multiplier=0.0))
+    back = list(pace(read_stream_csv(path)[0], rate_multiplier=0.0))
     assert len(back) == len(streams[7])
     for a, b in zip(streams[7], back):
         assert a.k == b.k
@@ -513,6 +514,24 @@ def test_network_transparency_late_sender(ieee34):
     res = _run_networked(ieee34, streams, placement, cfg, [], delays={31: 0.5})
     assert res.event_log.to_jsonl() == offline.event_log.to_jsonl()
     assert res.xs == offline.xs
+
+
+def test_network_transparency_stream_ends_inside_an_event(ieee34):
+    """slgf cut at 640 samples ends inside its fuse-open event. The central
+    node keeps each session's reports in arrival order, which is emission
+    order, so its log equals run_offline's: the current_mag record of line
+    19-20 that opens at k = 554 closes at 620 on both paths."""
+    from dataclasses import replace
+
+    sc = Scenario.from_json(scenario_path("slgf").read_text())
+    streams, _ = generate(replace(sc, duration_s=640 / 120), ieee34)
+    cfg = Config()
+    placement = Placement(sc.sensors)
+    offline = run_offline(ieee34, placement, streams, cfg=cfg)
+    res = _run_networked(ieee34, streams, placement, cfg, [])
+    record = {"rule": "current_mag", "line": "19-20", "start_k": 554, "end_k": 620}
+    assert any(record.items() <= e.to_dict().items() for e in offline.event_log.entries)
+    assert res.event_log.to_jsonl() == offline.event_log.to_jsonl()
 
 
 def test_central_waits_for_dropped_sensor(ieee34):
@@ -626,7 +645,7 @@ def test_central_ends_session_stamped_with_another_sensor(ieee34):
 
     placement = Placement((7, 31))
     streams = _scenario_streams(ieee34, n_s=0.3, sensors=(7, 31))
-    stray = {7: _frame(replace_v(streams[7][5], 10.0), sensor=19),
+    stray = {7: _frame(replace_v(list(streams[7])[5], 10.0), sensor=19),
              31: encode(Message(kind=BYE, sensor=19, k=0, info={}))}
 
     def send(port):
@@ -696,7 +715,8 @@ def test_central_keeps_k_up_to_the_wire_limit(ieee34):
               for i, f in enumerate(base)]
     res = _serve(ieee34, placement, lambda port: raw_sensor_session(port, 7, frames, bye=True))
     decoded = [decode(_frame(f))[0].frame for f in frames]
-    offline = run_offline(ieee34, placement, {}, central_streams={7: decoded})
+    offline = run_offline(ieee34, placement, {},
+                          central_streams={7: StreamColumns.from_frames(decoded)})
     assert [k for k, _ in res.xs] == [f.k for f in decoded] and res.xs[-1][0] == top
     assert res.xs == offline.xs
 
