@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ RULE_LABELS = {
     FREQUENCY: TREND_LABELS,
     QSS_VALIDITY: ("transient",),
 }
+
+DerivedSink = Callable[[int, "DerivedBlock"], None]  # LocalEngine's sink(bus, block)
 
 
 @dataclass(frozen=True)
@@ -729,13 +732,14 @@ class LocalEngine:
 
     `run` takes the stream in blocks of any length and `step` one frame at
     a time, as a block of one; the reports do not depend on where the
-    stream is cut.
+    stream is cut. `run` hands each block it derives to `sink(bus, block)`.
     """
 
     def __init__(self, bus: int, line_ratings: dict[str, np.ndarray],
-                 cfg: Config | None = None):
+                 cfg: Config | None = None, sink: DerivedSink | None = None):
         self.bus = bus
         self.cfg = cfg = cfg or Config()
+        self.sink = sink
         self.freq = FrequencyTracker(cfg.lambda_forget)
         self.windows = {lid: WindowBuffer(cfg.m) for lid in line_ratings}
         # (line or None, derived quantity, phase or None, channel) in report order
@@ -791,6 +795,8 @@ class LocalEngine:
         if not len(block):
             return []
         d = self.derive(block)
+        if self.sink is not None:
+            self.sink(self.bus, d)
         found = []
         for ci, (lid, name, ph, chan) in enumerate(self._channels):
             rows, ks, xs = d.column(lid, name, ph)

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import synth
-from .analytics import StreamColumns
+from .analytics import DerivedBlock, StreamColumns
 from .central import EventLog
 from .config import Config, ConfigError, load_config
 from .model import FeederError, Placement, build_system, load_feeder, reduce_laterals
@@ -20,6 +20,7 @@ from .placement import (BudgetError, exhaustive_place, greedy_place,
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_DATA, EXIT_NETWORK = 0, 1, 2, 3, 4
 
 DATA_DIR = Path(__file__).parent / "data"
+DERIVED_HEADER = "k,line,vmag_a,vmag_b,vmag_c,p_a,q_a,imag_a,beta_hat,qss_residual\n"
 
 
 def find_feeder(name: str) -> Path:
@@ -140,43 +141,50 @@ def cmd_analyze(args) -> int:
     central_dir = indir / "central"
     central_streams = _read_streams(central_dir) if central_dir.exists() else None
     buses = _parse_buses(args.placement) if args.placement else tuple(sorted(local_streams))
-    res = run_offline(feeder, Placement(buses), local_streams, central_streams, cfg)
-
     outdir = Path(args.out)
+    started: set[int] = set()
+
+    def derived(bus: int, d: DerivedBlock) -> None:
+        if bus not in started:  # run_offline derives nothing for a placement it refuses
+            started.add(bus)
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / f"derived_bus{bus}.csv").write_text(DERIVED_HEADER)
+        with open(outdir / f"derived_bus{bus}.csv", "a") as f:
+            f.write(_derived_rows(d))
+
+    res = run_offline(feeder, Placement(buses), local_streams, central_streams, cfg,
+                      derived if args.derived else None)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "eventlog.jsonl").write_text(
         res.event_log.to_jsonl(epoch=scenario.start_time,
                                sample_rate=scenario.sample_rate))
-    xcsv = ["k,x"] + [f"{k},{x!r}" for k, x in res.xs]
-    (outdir / "central_x.csv").write_text("\n".join(xcsv) + "\n")
-    if args.derived:
-        _write_derived(outdir, feeder, buses, local_streams, cfg)
+    (outdir / "central_x.csv").write_text("k,x\n" + _x_rows(res.xs))
+    if args.derived:  # a placement bus without a stream gets the header only
+        for bus in set(buses) - started:
+            (outdir / f"derived_bus{bus}.csv").write_text(DERIVED_HEADER)
     incidents = {e.incident for e in res.event_log.entries}
     print(f"{len(res.event_log.entries)} log entries, {len(incidents)} incident(s), "
           f"{res.gaps} gap(s); wrote {outdir}/eventlog.jsonl")
     return EXIT_OK
 
 
-def _write_derived(outdir: Path, feeder, buses, streams, cfg) -> None:
-    from .analytics import LocalEngine
-    from .pipeline import blocks, line_ratings_at
-    for bus in buses:
-        eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
-        rows = ["k,line,vmag_a,vmag_b,vmag_c,p_a,q_a,imag_a,beta_hat,qss_residual"]
-        for block in blocks(streams.get(bus)):
-            d = eng.derive(block)
-            vmag, beta = d.vmag.tolist(), d.beta_hat.tolist()
-            lines = []
-            for lid, c in d.lines.items():
-                resid = dict(zip(c.qss_rows, c.qss_residual.tolist()))
-                for j, k, p, q, imag in zip(c.rows, c.ks, c.p[:, 0].tolist(),
-                                            c.q[:, 0].tolist(), c.imag[:, 0].tolist()):
-                    r = resid.get(j)
-                    lines.append((j, lid, f"{k},{lid},{vmag[j][0]!r},{vmag[j][1]!r},"
-                                          f"{vmag[j][2]!r},{p!r},{q!r},{imag!r},{beta[j]!r},"
-                                          f"{'' if r is None else repr(r)}"))
-            rows += [text for *_, text in sorted(lines)]
-        (outdir / f"derived_bus{bus}.csv").write_text("\n".join(rows) + "\n")
+def _x_rows(pairs) -> str:  # central_x.csv rows of (k, x) pairs
+    return "".join(f"{k},{x!r}\n" for k, x in pairs)
+
+
+def _derived_rows(d: DerivedBlock) -> str:
+    """derived_bus<N>.csv rows of one derived block (docs/streams.md)."""
+    vmag, beta = d.vmag.tolist(), d.beta_hat.tolist()
+    lines = []
+    for lid, c in d.lines.items():
+        resid = dict(zip(c.qss_rows, c.qss_residual.tolist()))
+        for j, k, p, q, imag in zip(c.rows, c.ks, c.p[:, 0].tolist(),
+                                    c.q[:, 0].tolist(), c.imag[:, 0].tolist()):
+            r = resid.get(j)
+            lines.append((j, lid, f"{k},{lid},{vmag[j][0]!r},{vmag[j][1]!r},"
+                                  f"{vmag[j][2]!r},{p!r},{q!r},{imag!r},{beta[j]!r},"
+                                  f"{'' if r is None else repr(r)}\n"))
+    return "".join(text for *_, text in sorted(lines))
 
 
 def cmd_report(args) -> int:
@@ -219,7 +227,7 @@ def cmd_serve_central(args) -> int:
         result = serve_central(
             (args.host, args.port or cfg.port), feeder, placement, cfg, ready=ready,
             timeout_s=args.timeout,
-            sink=lambda ks, xs: xcsv.write("".join(f"{k},{x!r}\n" for k, x in zip(ks, xs))))
+            sink=lambda ks, xs: xcsv.write(_x_rows(zip(ks, xs))))
     (outdir / "eventlog.jsonl").write_text(result.event_log.to_jsonl(epoch=args.epoch))
     gaps = sum(s.gaps for s in result.sessions.values())
     print(f"sessions={len(result.sessions)} gaps={gaps} rejected={result.rejected}; "

@@ -91,16 +91,8 @@ _KEYMAP = {
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
 
-def _coerce(field: str, text: str):
-    kind = _FIELD_TYPES[field]
-    try:
-        return int(text) if kind == "int" else float(text)
-    except ValueError:
-        raise ConfigError(f"bad value for {field}: {text!r}")
-
-
-def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Config:
-    """Read a config file; `overrides` maps Config field names to raw strings."""
+def load_config(path: str | Path) -> Config:
+    """Read a config file."""
     values: dict[str, object] = {}
     section = None
     for ln, rawline in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -112,13 +104,12 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Co
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected key = value, got {rawline!r}")
-        key, _, text = line.partition("=")
-        field = _KEYMAP.get((section, key.strip()))
+        key, _, text = (part.strip() for part in line.partition("="))
+        field = _KEYMAP.get((section, key))
         if field is None:
-            raise ConfigError(f"line {ln}: unknown key [{section}] {key.strip()}")
-        values[field] = _coerce(field, text.strip())
-    for field, text in (overrides or {}).items():
-        if field not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config field {field}")
-        values[field] = _coerce(field, text)
+            raise ConfigError(f"line {ln}: unknown key [{section}] {key}")
+        try:
+            values[field] = int(text) if _FIELD_TYPES[field] == "int" else float(text)
+        except ValueError:
+            raise ConfigError(f"bad value for {field}: {text!r}")
     return Config(**values)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analytics import AnomalyReport, LocalEngine, StreamColumns
+from .analytics import AnomalyReport, DerivedSink, LocalEngine, StreamColumns
 from .central import (CentralChangeRecord, CentralChangeTracker, EventLog,
                       build_central_model, fuse_frames, fuse_reports, group_frames)
 from .config import Config
@@ -59,8 +59,9 @@ def blocks(stream: StreamColumns | None):
 
 
 def run_local_engine(feeder: FeederModel, bus: int, stream: StreamColumns | None,
-                     cfg: Config | None = None) -> list[AnomalyReport]:
-    eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg)
+                     cfg: Config | None = None, derived: DerivedSink | None = None
+                     ) -> list[AnomalyReport]:
+    eng = LocalEngine(bus, line_ratings_at(feeder, bus), cfg, derived)
     reports: list[AnomalyReport] = []
     for block in blocks(stream):
         reports.extend(eng.run(block))
@@ -71,22 +72,24 @@ def run_local_engine(feeder: FeederModel, bus: int, stream: StreamColumns | None
 def run_offline(feeder: FeederModel, placement: Placement,
                 local_streams: dict[int, StreamColumns],
                 central_streams: dict[int, StreamColumns] | None = None,
-                cfg: Config | None = None) -> PipelineResult:
+                cfg: Config | None = None, derived: DerivedSink | None = None
+                ) -> PipelineResult:
     """Full hierarchy over recorded streams.
 
     `local_streams` feed the per-sensor engines (sensor-side data);
     `central_streams` feed the fusion stage (uplink data, possibly
-    tampered). They default to the same streams.
+    tampered). They default to the same streams. Each block a local engine
+    derives goes to `derived(bus, block)`, once the central model is built.
     """
     cfg = cfg or Config()
     buses = placement.sensor_buses
     central = local_streams if central_streams is None else central_streams
+    model = build_central_model(partition(build_system(feeder), placement))
 
     local_reports: dict[int, list[AnomalyReport]] = {}
     for bus in buses:
-        local_reports[bus] = run_local_engine(feeder, bus, local_streams.get(bus), cfg)
+        local_reports[bus] = run_local_engine(feeder, bus, local_streams.get(bus), cfg, derived)
 
-    model = build_central_model(partition(build_system(feeder), placement))
     xs: list[tuple[int, float]] = []
     tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
     records: list[CentralChangeRecord] = []

@@ -233,12 +233,10 @@ class _StateCache:
         self._cache: dict[tuple, _State] = {}
 
     def state_for(self, k: int) -> _State:
-        key, mods = self._condition(k)
-        st = self._cache.get(key)
-        if st is None:
-            st = self._solve(k, mods)
-            self._cache[key] = st
-        return st
+        key = self._condition(k)
+        if key not in self._cache:
+            self._cache[key] = self._solve(k, key)
+        return self._cache[key]
 
     def _condition(self, k: int):
         faults, opens, load_mods, sag = [], [], [], 1.0
@@ -258,8 +256,7 @@ class _StateCache:
                 load_mods.append((e.bus, scale))
             elif e.kind == "voltage_sag":
                 sag *= e.magnitude
-        key = (tuple(faults), tuple(opens), tuple(load_mods), sag)
-        return key, key
+        return tuple(faults), tuple(opens), tuple(load_mods), sag
 
     def _solve(self, k: int, mods) -> _State:
         faults, opens, load_mods, sag = mods

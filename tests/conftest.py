@@ -136,7 +136,7 @@ def reference_frames(scenario, feeder):
     for start_k, b in scenario.beta_profile:
         beta[start_k:] = b
     phase = np.cumsum(beta)
-    keys = [cache._condition(k)[0] for k in range(n)]
+    keys = [cache._condition(k) for k in range(n)]
     states = [cache.state_for(k) for k in range(n)]
     weights = np.ones(n)
     for k in range(1, n):

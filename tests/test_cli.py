@@ -183,6 +183,91 @@ def test_analyze_derived_sensor_without_stream(tmp_path):
     assert (out / "derived_bus33.csv").read_text() == header + "\n"
 
 
+@pytest.fixture(scope="module")
+def long_streams(tmp_path_factory):
+    """Quiet streams of 1,200 frames, more than one engine block, with line
+    6-7 missing from bus 7 at a few frames, two of them straddling the cut."""
+    from dataclasses import replace
+    from conftest import DATA, edit_frame
+    from gridwatch.model import load_feeder
+    from gridwatch.synth import Scenario, generate, write_streams
+    sc = Scenario.from_json((DATA / "scenarios" / "quiet.json").read_text())
+    sc = replace(sc, duration_s=10.0)
+    streams, truth = generate(sc, load_feeder(DATA / "ieee34.feeder"))
+    assert len(streams[7]) == 1200
+    for j in (5, 1023, 1024, 1100):
+        i_lines = dict(list(streams[7])[j].i_lines)
+        del i_lines["6-7"]
+        streams[7] = edit_frame(streams[7], j, i_lines=i_lines)
+    path = tmp_path_factory.mktemp("long") / "streams"
+    write_streams(path, streams, sc, truth)
+    return path
+
+
+def _derived_oracle(feeder, bus, stream) -> str:
+    """derived_bus<N>.csv as a second engine over the whole stream makes it."""
+    from gridwatch.analytics import LocalEngine
+    from gridwatch.pipeline import blocks, line_ratings_at
+    eng = LocalEngine(bus, line_ratings_at(feeder, bus))
+    rows = ["k,line,vmag_a,vmag_b,vmag_c,p_a,q_a,imag_a,beta_hat,qss_residual"]
+    for block in blocks(stream):
+        d = eng.derive(block)
+        vmag, beta = d.vmag.tolist(), d.beta_hat.tolist()
+        lines = []
+        for lid, c in d.lines.items():
+            resid = dict(zip(c.qss_rows, c.qss_residual.tolist()))
+            for j, k, p, q, imag in zip(c.rows, c.ks, c.p[:, 0].tolist(),
+                                        c.q[:, 0].tolist(), c.imag[:, 0].tolist()):
+                r = resid.get(j)
+                lines.append((j, lid, f"{k},{lid},{vmag[j][0]!r},{vmag[j][1]!r},"
+                                      f"{vmag[j][2]!r},{p!r},{q!r},{imag!r},{beta[j]!r},"
+                                      f"{'' if r is None else repr(r)}"))
+        rows += [text for *_, text in sorted(lines)]
+    return "\n".join(rows) + "\n"
+
+
+def test_analyze_derived_derives_each_block_once(long_streams, tmp_path, monkeypatch):
+    from gridwatch.analytics import LocalEngine
+    calls = []
+    derive = LocalEngine.derive
+
+    def counted(self, block):
+        calls.append((self.bus, int(block.ks[0])))
+        return derive(self, block)
+
+    monkeypatch.setattr(LocalEngine, "derive", counted)
+    assert main(["analyze", "--streams", str(long_streams), "--out", str(tmp_path / "out"),
+                 "--derived"]) == 0
+    assert sorted(calls) == [(bus, k) for bus in (7, 19, 31) for k in (0, 1024)]
+
+
+def test_analyze_derived_matches_second_engine(long_streams, tmp_path):
+    from gridwatch.model import load_feeder
+    from gridwatch.synth import read_stream_csv
+    out = tmp_path / "out"
+    assert main(["analyze", "--streams", str(long_streams), "--out", str(out),
+                 "--derived"]) == 0
+    feeder = load_feeder(find_feeder("ieee34"))
+    for bus in (7, 19, 31):
+        stream, skipped = read_stream_csv(long_streams / f"bus{bus}.csv")
+        assert skipped == 0
+        text = (out / f"derived_bus{bus}.csv").read_text()
+        assert text == _derived_oracle(feeder, bus, stream)
+    rows = (out / "derived_bus7.csv").read_text().splitlines()[1:]
+    # one row per frame and incident line; 6-7 is missing at four frames
+    assert len(rows) == 2 * 1200 - 4
+    assert [r.split(",")[:2] for r in rows[:3]] == [["0", "6-7"], ["0", "7-8"], ["1", "6-7"]]
+    assert rows[0].endswith(",") and not rows[-1].endswith(",")
+
+
+def test_analyze_derived_bad_placement_writes_nothing(long_streams, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--streams", str(long_streams), "--out", str(out),
+                 "--placement", "7,999", "--derived"]) == 3
+    assert "placement bus 999" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_defaults_valid():
@@ -229,13 +314,6 @@ def test_config_range_validation(tmp_path):
     path.write_text("[detector]\nlambda_forget = 1.5\n")
     with pytest.raises(ConfigError, match="lambda_forget"):
         load_config(path)
-
-
-def test_config_overrides(tmp_path):
-    path = tmp_path / "c.cfg"
-    path.write_text("[detector]\nh = 6\n")
-    cfg = load_config(path, overrides={"h": "7.5", "m": "16"})
-    assert cfg.h == 7.5 and cfg.m == 16
 
 
 def test_simulate_attack_scenario_writes_central_view(tmp_path):
