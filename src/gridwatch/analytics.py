@@ -5,9 +5,13 @@ admittances, no siting information. It works on blocks of frames, each a
 row range of the stream's columns (`StreamColumns`). One vectorised derive
 turns a block into derived columns: magnitudes, per-phase powers,
 a frequency-drift estimate and a quasi-steady-state subspace residual per
-incident line. Then one loop per scalar channel runs that channel's
-threshold or change-detection rule and segments its violations into labeled
-anomaly reports.
+incident line. Then each rule runs over the columns of one derived
+quantity: a threshold rule flags a whole block with numpy comparisons, and
+a change rule runs the CUSUM recursion over each column, the one loop per
+sample besides the frequency tracker's smoothing. A segmenter per column
+groups the violations into events from their positions, and each event
+becomes a labeled anomaly report. A column with no violation and no open
+event costs its segmenter nothing.
 
 Between blocks the engine carries a small, fixed state: the last M rows of
 each line's window, the previous positive-sequence value, each channel's
@@ -26,6 +30,7 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,43 +182,45 @@ class AnomalyReport:
 @dataclass
 class LineColumns:
     """One incident line's derived columns, over the block frames that carry it."""
-    rows: list[int]            # block positions of those frames
-    ks: list[int]              # their sample indices
+    rows: np.ndarray           # (n,) block positions of those frames
+    ks: np.ndarray             # (n,) their sample indices, as the stream's ks
     imag: np.ndarray           # (n, 3)
     p: np.ndarray              # (n, 3)
     q: np.ndarray              # (n, 3)
-    qss_rows: list[int]        # the positions whose QSS window is full
-    qss_ks: list[int]
+    qss_rows: np.ndarray       # the positions whose QSS window is full: a tail of rows
+    qss_ks: np.ndarray
     qss_residual: np.ndarray   # (len(qss_rows),)
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass
 class DerivedBlock:
     """Derived columns of a block of frames, one row per frame."""
-    ks: list[int]
+    ks: np.ndarray                    # (T,) the stream's ks (uint64)
     vmag: np.ndarray                  # (T, 3)
     beta_hat: np.ndarray              # (T,), rad/sample
     lines: dict[str, LineColumns]
 
-    def column(self, line: str | None, name: str, phase: int | None):
-        """(block positions, sample indices, values as a list) of one scalar
-        channel.
+    def column(self, line: str | None, name: str):
+        """(block positions, sample indices, values) of one derived quantity,
+        as arrays: (n,) and (n,), then (n, 3) per phase or (n,).
 
         A line has no value at frames without it, nor its QSS residual at
         frames before its window fills.
         """
         if line is None:
-            src, rows, ks = self, range(len(self.ks)), self.ks
+            src, rows, ks = self, np.arange(len(self.ks)), self.ks
         else:
             src = self.lines.get(line)
             if src is None:
-                return [], [], []
+                return _NO_ROWS, self.ks[:0], np.empty(0)
             if name == "qss_residual":
                 rows, ks = src.qss_rows, src.qss_ks
             else:
                 rows, ks = src.rows, src.ks
-        values = getattr(src, name)
-        return rows, ks, (values if phase is None else values[:, phase]).tolist()
+        return rows, ks, getattr(src, name)
 
 
 def complex_power(v, i) -> tuple[np.ndarray, np.ndarray]:
@@ -415,18 +422,22 @@ class DetectorState:
                    warmup=cfg.warmup, var_floor=cfg.var_floor)
 
 
-def cusum_run(state: DetectorState, xs) -> tuple[list[bool], list[float]]:
-    """Advance the detector over a series.
+def cusum_run(state: DetectorState, xs) -> tuple[list[int], list[float]]:
+    """Advance the detector over a series of floats (a list iterates fastest).
 
-    Returns, per sample, whether a change was declared and |z| (0 during
-    warmup).
+    Returns the positions where a change was declared, ascending, and the
+    column of standardized innovations z (0 during warmup). Each step is
+    the scalar recursion of the detector, rounded as written: `d ** 2`
+    squares with the C library's `pow`, which can differ from `d * d` in
+    the last bit.
     """
     nu, h, lam, warmup, floor = state.nu, state.h, state.lambda_forget, state.warmup, state.var_floor
     mean, var, gp, gm, armed = state.mean_hat, state.var_hat, state.g_plus, state.g_minus, state.armed
     n, w_mean, w_m2 = state._n, state._w_mean, state._w_m2
+    rest = 1.0 - lam
     sqrt = math.sqrt
-    changed: list[bool] = []
-    zabs: list[float] = []
+    alarms: list[int] = []
+    zs: list[float] = []
     for x in xs:
         if not armed:
             n += 1
@@ -437,29 +448,52 @@ def cusum_run(state: DetectorState, xs) -> tuple[list[bool], list[float]]:
                 mean = w_mean
                 var = w_m2 / max(n - 1, 1)
                 armed = True
-            z = 0.0
-            changed.append(False)
-            zabs.append(0.0)
+            zs.append(0.0)
             continue
-        z = (x - mean) / sqrt(floor if floor > var else var)
+        d = x - mean
+        z = d / sqrt(floor if floor > var else var)
         g = gp + z - nu
         gp = g if g > 0.0 else 0.0
         g = gm - z - nu
         gm = g if g > 0.0 else 0.0
-        var = lam * var + (1.0 - lam) * (x - mean) ** 2
-        mean = lam * mean + (1.0 - lam) * x
+        var = lam * var + rest * d ** 2
+        mean = lam * mean + rest * x
         if gp > h or gm > h:
             gp = gm = 0.0
             mean = x
             armed = False
             n, w_mean, w_m2 = 1, x, 0.0
-            changed.append(True)
-        else:
-            changed.append(False)
-        zabs.append(abs(z))
+            alarms.append(len(zs))
+        zs.append(z)
     state.mean_hat, state.var_hat, state.g_plus, state.g_minus, state.armed = mean, var, gp, gm, armed
     state._n, state._w_mean, state._w_m2 = n, w_mean, w_m2
-    return changed, zabs
+    return alarms, zs
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@lru_cache(maxsize=64)
+def _line_design(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.polyfit's scaled design for a line through x = 0 .. n-1: the
+    Vandermonde matrix with its columns divided by their norms, and the norms."""
+    lhs = np.vander(np.arange(n) + 0.0, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    return lhs, scale
+
+
+def _slope(y: np.ndarray) -> float:
+    """np.polyfit(np.arange(len(y)), y, 1)[0], bit for bit: the same
+    least-squares solve on a design cached per length."""
+    lhs, scale = _line_design(len(y))
+    return float(np.linalg.lstsq(lhs, y + 0.0, len(y) * _EPS)[0][0] / scale[0])
+
+
+def _variance(a: np.ndarray) -> float:
+    """np.var of a 1-D array, bit for bit: the same reductions."""
+    d = a - np.add.reduce(a) / len(a)
+    return float(np.add.reduce(d * d) / len(a))
 
 
 def classify_trend(signal, change_index: int, window: int,
@@ -473,14 +507,14 @@ def classify_trend(signal, change_index: int, window: int,
     post = sig[change_index:change_index + window]
     if len(post) < 3:
         raise ValueError("need >= 3 samples after the change")
-    slope = float(np.polyfit(np.arange(len(post)), post, 1)[0])
+    slope = _slope(post)
     if slope > slope_min:
         return "surge"
     if slope < -slope_min:
         return "drop"
     pre = sig[max(0, change_index - window):change_index]
-    pre_var = float(np.var(pre)) if len(pre) >= 2 else 0.0
-    post_var = float(np.var(post))
+    pre_var = _variance(pre) if len(pre) >= 2 else 0.0
+    post_var = _variance(post)
     if post_var > variance_ratio * max(pre_var, 1e-300):
         return "oscillation"
     return "surge" if slope >= 0 else "drop"
@@ -495,19 +529,50 @@ class Segment:
     peak: float = 0.0          # the event's running peak value at the emission
 
 
-class EventSegmenter:
-    """Groups a violation flag stream into events (local-engine flowchart).
+def _running_peak(best: float, peak: float, keys: np.ndarray, values: np.ndarray,
+                  at) -> tuple[float, float]:
+    """The running (key, value) peak after the samples `at` (one position,
+    a slice or positions), taken in order: only a larger key replaces it,
+    so the first of equal keys stays, and a NaN key never wins."""
+    if type(at) is slice and at.stop - at.start == 1:
+        at = at.start
+    if type(at) is int:
+        key = float(keys[at])
+        return (key, float(values[at])) if key > best else (best, peak)
+    cand = keys[at]
+    if not len(cand):
+        return best, peak
+    top = np.fmax.reduce(cand)   # NaN only when every key is
+    if top > best:
+        i = int(np.argmax(cand == top))
+        return float(cand[i]), float(values[at][i])
+    return best, peak
 
-    An event opens at the first violation; it closes once T1 consecutive
-    samples pass with no new violation (end = last violation). When the
+
+def _first_reaching(ks: np.ndarray, k: int, start: int) -> int:
+    """The first position from `start` on whose sample index is at least k,
+    or len(ks)."""
+    if k > int(ks[-1]):
+        return len(ks)
+    return max(int(ks.searchsorted(ks.dtype.type(k))), start)
+
+
+class EventSegmenter:
+    """Groups a column's violations into events (local-engine flowchart).
+
+    An event opens at a violation. It closes at the first non-violating
+    sample whose k is at least last + T1, where last is the k of its latest
+    violation (end = last). A violation before that sample extends the
+    event, even one that follows a gap in k of T1 or more. When the
     violation count inside one open event reaches T2 + 1, a persistent
-    emission is produced immediately and the event stays open.
+    emission is produced at that violation and the event stays open.
 
     Each sample carries a key and a value. The event's peak is the value
-    of the sample with the largest key, the first one on a tie, among the
-    event's violations, or with `span` among all its samples up to and
-    including the one that closes it. The state is an open flag, three
-    integers, the peak and its key, whatever the event's length.
+    of the first sample with the largest key among the event's violations,
+    or with `span` among all its samples up to and including the one that
+    closes it. A NaN key never wins; a NaN key on the opening sample keeps
+    the peak there. The state is an open flag, three integers, the peak
+    and its key, whatever the event's length.
     """
 
     def __init__(self, t1: int, t2: int, span: bool = False):
@@ -521,36 +586,81 @@ class EventSegmenter:
         self._key = 0.0
         self._peak = 0.0
 
-    def run(self, ks, flags, keys, values=None,
+    @property
+    def is_open(self) -> bool:
+        return self._open
+
+    def run(self, ks: np.ndarray, viol, keys, values=None,
             opens: list[int] | None = None) -> list[tuple[int, Segment]]:
         """Advance over a column; (position, emission) pairs in order.
 
-        `values` default to `keys`. When `opens` is given, the position of
-        every sample that opens an event is appended to it.
+        `ks` is the column's integer sample indices, rising; `viol` the
+        positions of its violating samples, ascending (a list or an array).
+        `keys` and `values` (default: the keys) are its float arrays. When
+        `opens` is given, the position of every sample that opens an event
+        is appended to it. Without violations or an open event, nothing is
+        looked at.
+
+        The work is per event: events split where a non-violating sample
+        between two violations lies T1 or more after the first, and each
+        event's peak comes from one reduction over its samples.
         """
+        if not (len(viol) or self._open and len(ks)):
+            return []
         values = keys if values is None else values
         t1, persist, span = self.t1, self.t2 + 1, self.span
         is_open, start, last, count = self._open, self._start, self._last, self._count
         best, peak = self._key, self._peak
+        at = np.asarray(viol)
+        pos = at.tolist()
+        # violation indices where an event opens or may open, then len(viol):
+        # the first, and each one after a gap that holds a closing sample
+        bounds = [0, len(pos)] if pos else []
+        if len(pos) > 1:
+            ends = (at[1:] - at[:-1] > 1) & (ks[at[1:] - 1] - ks[at[:-1]] >= t1)
+            bounds[1:1] = (np.flatnonzero(ends) + 1).tolist()
+        first = 0   # the first sample not yet taken
         out = []
-        for j, (k, violated, key, value) in enumerate(zip(ks, flags, keys, values)):
-            if violated:
-                if not is_open:
-                    is_open, start, count, best, peak = True, k, 0, key, value
-                    if opens is not None:
-                        opens.append(j)
-                elif key > best:
-                    best, peak = key, value
-                count += 1
-                last = k
-                if count == persist:
-                    out.append((j, Segment(start, None, k, peak)))
-            elif is_open:
-                if span and key > best:
-                    best, peak = key, value
-                if k - last >= t1:
-                    is_open = False
-                    out.append((j, Segment(start, last, last, peak)))
+        for a, b in zip(bounds, bounds[1:]):
+            p = pos[a]
+            if is_open and (a or (p > first and int(ks[p - 1]) - last >= t1)):
+                c = _first_reaching(ks, last + t1, first)
+                if span:
+                    best, peak = _running_peak(best, peak, keys, values, slice(first, c + 1))
+                out.append((c, Segment(start, last, last, peak)))
+                is_open = False
+            lo = a   # the first violation that may still raise the peak
+            if not is_open:
+                is_open, start, count = True, int(ks[p]), 0
+                best, peak = float(keys[p]), float(values[p])
+                if opens is not None:
+                    opens.append(p)
+                lo, first = a + 1, p + 1
+            # the peak up to the persistent emission at violation q, if it
+            # falls in this run, then up to the run's last violation
+            q = a + persist - count - 1
+            for hi in ([q + 1, b] if a <= q < b - 1 else [b]):
+                if span:
+                    stop = pos[hi - 1] + 1
+                    if stop > first:
+                        best, peak = _running_peak(best, peak, keys, values, slice(first, stop))
+                    first = stop
+                elif hi > lo:
+                    best, peak = _running_peak(best, peak, keys, values,
+                                               pos[lo] if hi - lo == 1 else at[lo:hi])
+                lo = hi
+                if hi == q + 1:
+                    out.append((pos[q], Segment(start, None, int(ks[pos[q]]), peak)))
+            count += b - a
+            last, first = int(ks[pos[b - 1]]), pos[b - 1] + 1
+        n = len(ks)
+        if is_open and first < n:   # samples after the last violation
+            c = _first_reaching(ks, last + t1, first)
+            if span:
+                best, peak = _running_peak(best, peak, keys, values, slice(first, min(c + 1, n)))
+            if c < n:
+                out.append((c, Segment(start, last, last, peak)))
+                is_open = False
         self._open, self._start, self._last, self._count = is_open, start, last, count
         self._key, self._peak = best, peak
         return out
@@ -632,42 +742,62 @@ class _TrendLabels:
         self._pending = None
 
 
-class _Channel:
-    """One scalar channel of a local rule: its segmenter and its reports.
+class _Rule:
+    """One local rule over the columns of one derived quantity: a
+    segmenter per column, and the column's reports.
 
-    `scan` runs the channel over a column of its values. A subclass says
-    which samples violate the rule and which value, by which key, the
-    event's severity tracks, and builds the report.
+    `scan` runs the rule over a block's values, an (n, width) array, or
+    (n,) when the width is one. It returns (position, column, report)
+    triples.
     """
     span = False
 
-    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config):
+    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config, width: int):
         self.rule = rule
         self.bus = bus
         self.line = line
         self.cfg = cfg
-        self.seg = EventSegmenter(cfg.t1, cfg.t2, span=self.span)
-
-    def scan(self, ks: list[int], xs: list[float]) -> list[tuple[int, AnomalyReport]]:
-        flags, keys, values = self._violations(xs)
-        return [(j, self._report(s)) for j, s in self.seg.run(ks, flags, keys, values)]
+        self.width = width
+        self.segs = [EventSegmenter(cfg.t1, cfg.t2, span=self.span) for _ in range(width)]
 
     def flush(self) -> list[AnomalyReport]:
-        return [self._report(s) for s in self.seg.flush()]
+        return [self._report(c, s) for c, seg in enumerate(self.segs) for s in seg.flush()]
 
 
-class _VoltageChannel(_Channel):
-    """Magnitude band rule on one phase; severity is the event's first
+class _Threshold(_Rule):
+    """A threshold rule on each phase. A subclass says which samples
+    violate it, by which key the event's severity tracks the values, and
+    builds the report."""
+
+    def scan(self, ks: np.ndarray, X: np.ndarray) -> list[tuple[int, int, AnomalyReport]]:
+        flags = self._flags(X)
+        hit = flags.any(axis=0).tolist()
+        keys = None
+        out = []
+        for c, seg in enumerate(self.segs):
+            if hit[c] or seg.is_open:
+                if keys is None:
+                    keys = self._keys(X)
+                viol = flags[:, c].nonzero()[0] if hit[c] else ()
+                out += [(j, c, self._report(c, s))
+                        for j, s in seg.run(ks, viol, keys[:, c], X[:, c])]
+        return out
+
+
+class _Voltage(_Threshold):
+    """Magnitude band rule on each phase; severity is the event's first
     magnitude with the largest |v - 1|."""
 
     def __init__(self, bus: int, cfg: Config):
-        super().__init__(VOLTAGE_MAG, bus, None, cfg)
+        super().__init__(VOLTAGE_MAG, bus, None, cfg, 3)
 
-    def _violations(self, xs):
-        lo, hi = self.cfg.v_normal_low, self.cfg.v_normal_high
-        return [not (lo < v < hi) for v in xs], [abs(v - 1.0) for v in xs], xs
+    def _flags(self, X):
+        return ~((self.cfg.v_normal_low < X) & (X < self.cfg.v_normal_high))
 
-    def _report(self, s: Segment) -> AnomalyReport:
+    def _keys(self, X):
+        return np.abs(X - 1.0)
+
+    def _report(self, c: int, s: Segment) -> AnomalyReport:
         cfg = self.cfg
         label, _ = classify_voltage([s.peak], cfg.t0_s, cfg.ts_s,
                                     cfg.v_normal_low, cfg.v_normal_high,
@@ -677,25 +807,27 @@ class _VoltageChannel(_Channel):
                              start_k=s.start_k, end_k=s.end_k, severity=s.peak)
 
 
-class _OvercurrentChannel(_Channel):
-    """Rating rule on one phase of a line; severity is peak current / rating."""
+class _Overcurrent(_Threshold):
+    """Rating rule on each phase of a line; severity is peak current / rating."""
 
-    def __init__(self, bus: int, line: str, rating: float, cfg: Config):
-        super().__init__(OVERCURRENT, bus, line, cfg)
-        self.rating = float(rating)
+    def __init__(self, bus: int, line: str, rating, cfg: Config):
+        super().__init__(OVERCURRENT, bus, line, cfg, 3)
+        self.rating = np.asarray(rating, dtype=float)
 
-    def _violations(self, xs):
-        rating = self.rating
-        return [check_overcurrent(i, rating) for i in xs], xs, xs
+    def _flags(self, X):
+        return check_overcurrent(X, self.rating)
 
-    def _report(self, s: Segment) -> AnomalyReport:
+    def _keys(self, X):
+        return X
+
+    def _report(self, c: int, s: Segment) -> AnomalyReport:
         return AnomalyReport(rule=OVERCURRENT, label="overcurrent", bus=self.bus,
                              line=self.line, start_k=s.start_k, end_k=s.end_k,
-                             severity=s.peak / self.rating)
+                             severity=s.peak / float(self.rating[c]))
 
 
-class _ChangeChannel(_Channel):
-    """CUSUM rule on one scalar channel; severity is the event's peak |z|.
+class _Change(_Rule):
+    """CUSUM rule on each column; severity is the event's peak |z|.
 
     With `trend`, events are labeled surge, drop or oscillation from the
     signal around their first change point; without, "transient", as the
@@ -703,26 +835,32 @@ class _ChangeChannel(_Channel):
     """
     span = True
 
-    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config, trend: bool):
-        super().__init__(rule, bus, line, cfg)
-        self.det = DetectorState.from_config(cfg)
-        self.trend = _TrendLabels(cfg) if trend else None
+    def __init__(self, rule: str, bus: int, line: str | None, cfg: Config, width: int,
+                 trend: bool):
+        super().__init__(rule, bus, line, cfg, width)
+        self.dets = [DetectorState.from_config(cfg) for _ in range(width)]
+        self.trends = [_TrendLabels(cfg) if trend else None for _ in range(width)]
 
-    def scan(self, ks, xs):
-        changed, zabs = cusum_run(self.det, xs)
-        opens: list[int] = []
-        emitted = self.seg.run(ks, changed, zabs, opens=opens)
-        if self.trend is None:
-            labels = ["transient"] * len(emitted)
-        else:
-            labels = self.trend.advance(xs, opens, [j for j, _ in emitted])
-        return [(j, self._report(s, label)) for (j, s), label in zip(emitted, labels)]
+    def scan(self, ks: np.ndarray, X: np.ndarray) -> list[tuple[int, int, AnomalyReport]]:
+        out = []
+        for c, xs in enumerate(X.T.tolist() if X.ndim == 2 else [X.tolist()]):
+            alarms, z = cusum_run(self.dets[c], xs)
+            seg, opens = self.segs[c], []
+            emitted = seg.run(ks, alarms, np.abs(z), opens=opens) if alarms or seg.is_open else []
+            trend = self.trends[c]
+            if trend is None:
+                labels = ["transient"] * len(emitted)
+            else:
+                labels = trend.advance(xs, opens, [j for j, _ in emitted])
+            out += [(j, c, self._report(c, s, label)) for (j, s), label in zip(emitted, labels)]
+        return out
 
     def flush(self) -> list[AnomalyReport]:
-        return [self._report(s, "transient" if self.trend is None else self.trend.current())
-                for s in self.seg.flush()]
+        return [self._report(c, s, "transient" if trend is None else trend.current())
+                for c, (seg, trend) in enumerate(zip(self.segs, self.trends))
+                for s in seg.flush()]
 
-    def _report(self, s: Segment, label: str) -> AnomalyReport:
+    def _report(self, c: int, s: Segment, label: str) -> AnomalyReport:
         return AnomalyReport(rule=self.rule, label=label, bus=self.bus, line=self.line,
                              start_k=s.start_k, end_k=s.end_k, severity=s.peak)
 
@@ -742,21 +880,21 @@ class LocalEngine:
         self.sink = sink
         self.freq = FrequencyTracker(cfg.lambda_forget)
         self.windows = {lid: WindowBuffer(cfg.m) for lid in line_ratings}
-        # (line or None, derived quantity, phase or None, channel) in report order
-        chans: list[tuple[str | None, str, int | None, _Channel]] = [
-            (None, "vmag", ph, _VoltageChannel(bus, cfg)) for ph in range(3)]
+        # (line or None, derived quantity, rule) in report order
+        rules: list[tuple[str | None, str, _Rule]] = [(None, "vmag", _Voltage(bus, cfg))]
         for lid, rating in line_ratings.items():
-            chans += [(lid, "imag", ph, _OvercurrentChannel(bus, lid, rating[ph], cfg))
-                      for ph in range(3)]
-            for rule, name in ((ACTIVE_POWER, "p"), (REACTIVE_POWER, "q"),
-                               (CURRENT_MAG, "imag")):
-                chans += [(lid, name, ph, _ChangeChannel(rule, bus, lid, cfg, trend=True))
-                          for ph in range(3)]
-            chans.append((lid, "qss_residual", None,
-                          _ChangeChannel(QSS_VALIDITY, bus, lid, cfg, trend=False)))
-        chans.append((None, "beta_hat", None,
-                      _ChangeChannel(FREQUENCY, bus, None, cfg, trend=True)))
-        self._channels = chans
+            rules.append((lid, "imag", _Overcurrent(bus, lid, rating, cfg)))
+            rules += [(lid, name, _Change(rule, bus, lid, cfg, 3, trend=True))
+                      for rule, name in ((ACTIVE_POWER, "p"), (REACTIVE_POWER, "q"),
+                                         (CURRENT_MAG, "imag"))]
+            rules.append((lid, "qss_residual",
+                          _Change(QSS_VALIDITY, bus, lid, cfg, 1, trend=False)))
+        rules.append((None, "beta_hat", _Change(FREQUENCY, bus, None, cfg, 1, trend=True)))
+        # each with the number of its first channel, a rule having one per column
+        self._rules, ci = [], 0
+        for lid, name, rule in rules:
+            self._rules.append((lid, name, ci, rule))
+            ci += rule.width
 
     def derive(self, block: StreamColumns) -> DerivedBlock:
         """Derived columns of a block of frames.
@@ -766,17 +904,14 @@ class LocalEngine:
         """
         V = np.ascontiguousarray(block.v)
         beta = np.array(self.freq.track(positive_sequence(V).tolist()))
-        ks = block.ks.tolist()
-        lines = {lid: self._derive_line(lid, V, ks, rows, I)
+        lines = {lid: self._derive_line(lid, V, block.ks, rows, I)
                  for lid, (rows, I) in block.lines.items()}
-        return DerivedBlock(ks=ks, vmag=np.abs(V), beta_hat=beta, lines=lines)
+        return DerivedBlock(ks=block.ks, vmag=np.abs(V), beta_hat=beta, lines=lines)
 
-    def _derive_line(self, lid: str, V: np.ndarray, ks: list[int], rows: np.ndarray,
+    def _derive_line(self, lid: str, V: np.ndarray, ks: np.ndarray, rows: np.ndarray,
                      I: np.ndarray) -> LineColumns:
         if len(rows) < len(V):
-            V = V[rows]
-            ks = [ks[j] for j in rows.tolist()]
-        rows = rows.tolist()
+            V, ks = V[rows], ks[rows]
         p, q = complex_power(V, I)
         resid = np.empty(0)
         w = self.windows.get(lid)
@@ -798,10 +933,10 @@ class LocalEngine:
         if self.sink is not None:
             self.sink(self.bus, d)
         found = []
-        for ci, (lid, name, ph, chan) in enumerate(self._channels):
-            rows, ks, xs = d.column(lid, name, ph)
-            if ks:
-                found += [(rows[j], ci, r) for j, r in chan.scan(ks, xs)]
+        for lid, name, ci, rule in self._rules:
+            rows, ks, X = d.column(lid, name)
+            if len(ks):
+                found += [(int(rows[j]), ci + c, r) for j, c, r in rule.scan(ks, X)]
         found.sort(key=lambda t: t[:2])
         return [r for *_, r in found]
 
@@ -809,4 +944,4 @@ class LocalEngine:
         return self.run(StreamColumns.from_frames([frame]))
 
     def finish(self) -> list[AnomalyReport]:
-        return [r for *_, chan in self._channels for r in chan.flush()]
+        return [r for *_, rule in self._rules for r in rule.flush()]

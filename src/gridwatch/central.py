@@ -313,26 +313,26 @@ class CentralChangeTracker:
         keep = block.complete & np.isfinite(x)
         self.gaps += len(block.ks) - n_complete
         self.skipped += n_complete - int(np.count_nonzero(keep))
-        ks = [k for k, ok in zip(block.ks, keep.tolist()) if ok]
+        ks = np.array(block.ks, dtype=np.uint64)[keep]
         xs = x[keep].tolist()
         if self.sink is not None:
-            self.sink(ks, xs)
-        changed, zabs = cusum_run(self.det, xs)
+            self.sink(ks.tolist(), xs)
+        alarms, z = cusum_run(self.det, xs)
         opens: list[int] = []
-        emitted = self.seg.run(ks, changed, zabs, opens=opens)
-        changes = [j for j, c in enumerate(changed) if c]
+        emitted = (self.seg.run(ks, alarms, np.abs(z), opens=opens)
+                   if alarms or self.seg.is_open else [])
         # replay change points and emissions in stream order, a change
         # before an emission at the same sample
         opened = set(opens)
         out = []
-        for j, seg in sorted([(j, None) for j in changes] + emitted,
+        for j, seg in sorted([(j, None) for j in alarms] + emitted,
                              key=lambda t: (t[0], t[1] is not None)):
             if seg is not None:
                 out.append(self._record(seg))
                 continue
             if j in opened:
                 self._change_ks = []
-            self._change_ks.append(ks[j])
+            self._change_ks.append(int(ks[j]))
         return out
 
     def finish(self) -> list[CentralChangeRecord]:

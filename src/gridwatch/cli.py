@@ -8,6 +8,8 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import synth
 from .analytics import DerivedBlock, StreamColumns
 from .central import EventLog
@@ -173,18 +175,22 @@ def _x_rows(pairs) -> str:  # central_x.csv rows of (k, x) pairs
 
 
 def _derived_rows(d: DerivedBlock) -> str:
-    """derived_bus<N>.csv rows of one derived block (docs/streams.md)."""
-    vmag, beta = d.vmag.tolist(), d.beta_hat.tolist()
-    lines = []
-    for lid, c in d.lines.items():
-        resid = dict(zip(c.qss_rows, c.qss_residual.tolist()))
-        for j, k, p, q, imag in zip(c.rows, c.ks, c.p[:, 0].tolist(),
-                                    c.q[:, 0].tolist(), c.imag[:, 0].tolist()):
-            r = resid.get(j)
-            lines.append((j, lid, f"{k},{lid},{vmag[j][0]!r},{vmag[j][1]!r},"
-                                  f"{vmag[j][2]!r},{p!r},{q!r},{imag!r},{beta[j]!r},"
-                                  f"{'' if r is None else repr(r)}\n"))
-    return "".join(text for *_, text in sorted(lines))
+    """derived_bus<N>.csv rows of one derived block (docs/streams.md), by
+    frame and then line id. Each column is converted to text once."""
+    vmag = [f"{a!r},{b!r},{c!r}" for a, b, c in d.vmag.tolist()]
+    beta = list(map(repr, d.beta_hat.tolist()))
+    rows, text = [], []
+    for lid in sorted(d.lines):
+        c = d.lines[lid]
+        at = c.rows.tolist()
+        resid = [""] * (len(at) - len(c.qss_rows)) + list(map(repr, c.qss_residual.tolist()))
+        text += [f"{k},{lid},{vmag[j]},{p!r},{q!r},{i!r},{beta[j]},{r}\n"
+                 for j, k, p, q, i, r in zip(at, c.ks.tolist(), c.p[:, 0].tolist(),
+                                             c.q[:, 0].tolist(), c.imag[:, 0].tolist(), resid)]
+        rows.append(c.rows)
+    if len(rows) > 1:   # each line's rows ascend, so a stable sort by frame keeps line order
+        text = [text[i] for i in np.argsort(np.concatenate(rows), kind="stable").tolist()]
+    return "".join(text)
 
 
 def cmd_report(args) -> int:

@@ -1,5 +1,6 @@
+import math
+import struct
 import tracemalloc
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from gridwatch import central
 from gridwatch.analytics import (OVERCURRENT, QSS_VALIDITY, VOLTAGE_MAG, DetectorState,
                                  EventSegmenter, FrequencyTracker, LocalEngine,
-                                 PhasorFrame, check_overcurrent, classify_trend,
+                                 PhasorFrame, Segment, check_overcurrent, classify_trend,
                                  classify_voltage, complex_power, cusum_run,
                                  positive_sequence, qss_residuals, window_correlations)
+from gridwatch.analytics import _slope, _variance
 from gridwatch.config import Config
 
 
@@ -249,16 +251,16 @@ def test_cusum_accumulators_never_negative():
     rng = np.random.default_rng(1)
     st_ = DetectorState()
     for x in rng.normal(size=3000).tolist():
-        (changed,), _ = cusum_run(st_, (x,))
+        alarms, _ = cusum_run(st_, (x,))
         assert st_.g_plus >= 0.0 and st_.g_minus >= 0.0
-        if changed:
+        if alarms:
             assert st_.g_plus == 0.0 and st_.g_minus == 0.0
 
 
 def test_cusum_constant_input_never_alarms():
     st_ = DetectorState()
-    changed, _ = cusum_run(st_, [3.25] * 10000)
-    assert not any(changed)
+    alarms, _ = cusum_run(st_, [3.25] * 10000)
+    assert not alarms
     assert st_.var_hat <= st_.var_floor
 
 
@@ -268,7 +270,7 @@ def test_cusum_detects_a_step_quickly():
     cusum_run(st_, rng.normal(size=st_.warmup).tolist())
     assert st_.armed
     hits, _ = cusum_run(st_, rng.normal(loc=5.0, size=10).tolist())
-    assert any(hits)
+    assert hits
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
@@ -276,9 +278,9 @@ def test_cusum_detects_a_step_quickly():
 def test_cusum_invariants_hypothesis(xs):
     st_ = DetectorState(warmup=5)
     for x in xs:
-        (changed,), _ = cusum_run(st_, (x,))
+        alarms, _ = cusum_run(st_, (x,))
         assert st_.g_plus >= 0.0 and st_.g_minus >= 0.0
-        if changed:
+        if alarms:
             assert st_.g_plus == 0.0 and st_.g_minus == 0.0
 
 
@@ -306,12 +308,51 @@ def test_trend_needs_three_samples():
         classify_trend(np.zeros(10), 9, 24)
 
 
+def _trend_reference(sig, change_index, window, slope_min, variance_ratio):
+    """classify_trend's slope, variances and label from np.polyfit and np.var."""
+    post = sig[change_index:change_index + window]
+    slope = float(np.polyfit(np.arange(len(post)), post, 1)[0])
+    pre = sig[max(0, change_index - window):change_index]
+    pre_var = float(np.var(pre)) if len(pre) >= 2 else 0.0
+    post_var = float(np.var(post))
+    if slope > slope_min:
+        label = "surge"
+    elif slope < -slope_min:
+        label = "drop"
+    elif post_var > variance_ratio * max(pre_var, 1e-300):
+        label = "oscillation"
+    else:
+        label = "surge" if slope >= 0 else "drop"
+    return slope, pre_var, post_var, label
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["noise", "constant", "tiny", "ramp"]),
+       st.sampled_from([1e-4, 1.0, math.inf]))
+@settings(max_examples=100, deadline=None)
+def test_trend_fit_matches_polyfit_and_var_bit_for_bit(seed, kind, slope_min):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n_pre, n_post = int(rng.integers(0, 49)), int(rng.integers(3, 49))
+        level = rng.normal(scale=10.0 ** rng.integers(-3, 4))
+        n = n_pre + n_post
+        sig = {"noise": lambda: level + rng.normal(size=n),
+               "constant": lambda: np.full(n, level),
+               "tiny": lambda: level + 1e-13 * rng.normal(size=n),
+               "ramp": lambda: level + rng.normal() * np.arange(n)}[kind]()
+        post, pre = sig[n_pre:], sig[:n_pre]
+        slope, pre_var, post_var, label = _trend_reference(sig, n_pre, 48, slope_min, 2.0)
+        got = (_slope(post), _variance(pre) if n_pre >= 2 else 0.0, _variance(post))
+        assert struct.pack("<3d", *got) == struct.pack("<3d", slope, pre_var, post_var)
+        assert classify_trend(sig, n_pre, 48, slope_min, 2.0) == label
+
+
 # ---------------------------------------------------------------- segmentation
 
 def _events(flags, t1: int, t2: int):
     """(start, end or None) of each emission of a flag sequence, flushed."""
     seg = EventSegmenter(t1, t2)
-    emitted = [s for _, s in seg.run(range(len(flags)), flags, repeat(0.0))]
+    n = len(flags)
+    emitted = [s for _, s in seg.run(np.arange(n), np.flatnonzero(flags), np.zeros(n))]
     return [(s.start_k, s.end_k) for s in emitted + seg.flush()]
 
 
@@ -333,7 +374,7 @@ def test_segment_persistent_then_close():
 def test_segment_persistent_emitted_at_t2():
     t2 = 20
     seg = EventSegmenter(t1=10, t2=t2)
-    emitted = [(j, s.end_k) for j, s in seg.run(range(40), [True] * 40, repeat(0.0))]
+    emitted = [(j, s.end_k) for j, s in seg.run(np.arange(40), np.arange(40), np.zeros(40))]
     assert emitted == [(t2, None)]
 
 
@@ -354,6 +395,110 @@ def test_segment_deterministic():
 def test_segment_flush_closes_open_event():
     events = _events([False, True, True], t1=100, t2=100)
     assert events == [(1, 2)]
+
+
+class ScalarSegmenter(EventSegmenter):
+    """The segmentation state machine one sample at a time: the reference
+    that `EventSegmenter.run`, driven by violation positions, must match."""
+
+    def run(self, ks, flags, keys, values, opens=None):
+        t1, persist, span = self.t1, self.t2 + 1, self.span
+        is_open, start, last, count = self._open, self._start, self._last, self._count
+        best, peak = self._key, self._peak
+        out = []
+        for j, (k, violated, key, value) in enumerate(zip(ks, flags, keys, values)):
+            if violated:
+                if not is_open:
+                    is_open, start, count, best, peak = True, k, 0, key, value
+                    if opens is not None:
+                        opens.append(j)
+                elif key > best:
+                    best, peak = key, value
+                count += 1
+                last = k
+                if count == persist:
+                    out.append((j, Segment(start, None, k, peak)))
+            elif is_open:
+                if span and key > best:
+                    best, peak = key, value
+                if k - last >= t1:
+                    is_open = False
+                    out.append((j, Segment(start, last, last, peak)))
+        self._open, self._start, self._last, self._count = is_open, start, last, count
+        self._key, self._peak = best, peak
+        return out
+
+
+def _state(seg):
+    """A segmenter's state, its floats as bits (NaN included)."""
+    return (seg._open, seg._start, seg._last, seg._count,
+            struct.pack("<2d", seg._key, seg._peak))
+
+
+@st.composite
+def violation_columns(draw):
+    """A column (ks, flags, keys, values) cut into blocks, with T1, T2 and span."""
+    t1 = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 120))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, t1 - 1 or 1, t1, t1 + 1, 3 * t1]),
+                          min_size=n, max_size=n))
+    ks = np.cumsum(steps, dtype=np.uint64)
+    if n and draw(st.booleans()):   # the top of the u64 range
+        ks += np.uint64(2**64 - 1) - ks[-1]
+    density = draw(st.sampled_from([0.05, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flags = rng.random(n) < density
+    keys = np.array(draw(st.lists(st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 2.0, math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True)), min_size=n, max_size=n)), dtype=float)
+    values = np.arange(n) + 0.5   # which sample the peak came from
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    return ks, flags, keys, values, t1, draw(st.integers(0, 6)), draw(st.booleans()), cuts
+
+
+@given(violation_columns())
+@settings(max_examples=200, deadline=None)
+def test_segmenter_matches_scalar_oracle_under_block_cuts(case):
+    ks, flags, keys, values, t1, t2, span, cuts = case
+    got, want = EventSegmenter(t1, t2, span), ScalarSegmenter(t1, t2, span)
+    got_out, want_out, got_opens, want_opens = [], [], [], []
+    for a, b in zip([0] + cuts, cuts + [len(ks)]):
+        opens = []
+        got_out += [(a + j, s) for j, s in got.run(ks[a:b], np.flatnonzero(flags[a:b]),
+                                                   keys[a:b], values[a:b], opens)]
+        got_opens += [a + j for j in opens]
+        opens = []
+        want_out += [(a + j, s) for j, s in want.run(ks[a:b].tolist(), flags[a:b].tolist(),
+                                                     keys[a:b].tolist(), values[a:b].tolist(),
+                                                     opens)]
+        want_opens += [a + j for j in opens]
+        assert _state(got) == _state(want)
+    assert got_out == want_out and got_opens == want_opens
+    assert got.flush() == want.flush() and _state(got) == _state(want)
+
+
+def test_segment_peak_and_close_rules():
+    """The peak is the first sample with the largest key, a NaN key never
+    wins but holds the peak when it opens the event, and the span peak
+    takes the closing sample; a violation after a gap in k of T1 or more
+    extends the event."""
+    def run(ks, flags, keys, span=False, t1=3):
+        seg = EventSegmenter(t1, 100, span)
+        n = len(ks)
+        out = seg.run(np.array(ks), np.flatnonzero(flags), np.array(keys, dtype=float),
+                      np.arange(n) + 0.5)
+        return [(j, s.start_k, s.end_k, s.peak) for j, s in out] + [
+            (None, s.start_k, s.end_k, s.peak) for s in seg.flush()]
+
+    nan = math.nan
+    assert run([0, 1, 2, 9], [1, 1, 1, 0], [1.0, 2.0, 2.0, 0.0]) == [(3, 0, 2, 1.5)]
+    assert run([0, 1, 2, 9], [1, 1, 1, 0], [2.0, 2.0, 1.0, 0.0]) == [(3, 0, 2, 0.5)]
+    assert run([0, 1, 2, 9], [1, 1, 1, 0], [1.0, nan, 0.5, 0.0]) == [(3, 0, 2, 0.5)]
+    assert run([0, 1, 2, 9], [1, 1, 1, 0], [nan, 5.0, 9.0, 0.0]) == [(3, 0, 2, 0.5)]
+    assert run([0, 10, 11], [1, 1, 0], [1.0, 0.0, 0.0]) == [(None, 0, 10, 0.5)]
+    assert run([0, 1, 5, 6], [1, 0, 0, 1], [1.0, 0.0, 0.0, 0.0]) == [
+        (2, 0, 0, 0.5), (None, 6, 6, 3.5)]
+    assert run([0, 1, 5], [1, 0, 0], [1.0, 2.0, 3.0], span=True) == [(2, 0, 0, 2.5)]
 
 
 # ---------------------------------------------------------------- report severities and labels
@@ -421,8 +566,7 @@ def test_central_change_ks_persistent_then_closed(monkeypatch):
     rng = np.random.default_rng(3)
     xs = rng.normal(size=400) + np.concatenate(
         [np.zeros(100), np.tile([40.0] * 8 + [0.0] * 8, 2), np.zeros(168), np.full(100, 40.0)])
-    changed, _ = cusum_run(DetectorState.from_config(cfg), xs.tolist())
-    ks = [k for k, c in enumerate(changed) if c]
+    ks, _ = cusum_run(DetectorState.from_config(cfg), xs.tolist())   # k is the position
     # two clusters: a persistent one from the square wave, then a short one
     first, second = [k for k in ks if k < 250], [k for k in ks if k >= 250]
     assert len(first) > cfg.t2 + 1 and 0 < len(second) <= cfg.t2
@@ -464,7 +608,7 @@ def _interruption(n):
 
 def _violations(n):
     seg = EventSegmenter(t1=10, t2=240)
-    seg.run(range(n), repeat(True), repeat(0.0))
+    seg.run(np.arange(n), np.arange(n), np.zeros(n))
     return seg
 
 
