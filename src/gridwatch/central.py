@@ -115,7 +115,7 @@ def central_xs(model: CentralModel, D: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FusedBlock:
     """Consecutive fused samples: row r of D is d_a at sample ks[r]."""
-    ks: list[int]
+    ks: np.ndarray         # uint64 (n,)
     D: np.ndarray          # complex (n, 6K): injections, then voltages, per sensor
     complete: np.ndarray   # bool (n,): every sensor delivered the sample
 
@@ -262,7 +262,7 @@ def fuse_frames(model: CentralModel, released: list[Released]) -> FusedBlock:
                 rows, vi = col
                 D[at + rows, :, j] = vi[:, ::-1]
         at += len(r.ks)
-    return FusedBlock(ks=ks.tolist(), D=D.reshape(len(ks), -1),
+    return FusedBlock(ks=ks, D=D.reshape(len(ks), -1),
                       complete=np.concatenate([r.complete for r in released]))
 
 
@@ -313,7 +313,7 @@ class CentralChangeTracker:
         keep = block.complete & np.isfinite(x)
         self.gaps += len(block.ks) - n_complete
         self.skipped += n_complete - int(np.count_nonzero(keep))
-        ks = np.array(block.ks, dtype=np.uint64)[keep]
+        ks = block.ks[keep]
         xs = x[keep].tolist()
         if self.sink is not None:
             self.sink(ks.tolist(), xs)

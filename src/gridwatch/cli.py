@@ -147,7 +147,9 @@ def cmd_analyze(args) -> int:
     started: set[int] = set()
 
     def derived(bus: int, d: DerivedBlock) -> None:
-        if bus not in started:  # run_offline derives nothing for a placement it refuses
+        # runs in bus's own process (run_offline), which derives nothing
+        # for a placement it refuses
+        if bus not in started:
             started.add(bus)
             outdir.mkdir(parents=True, exist_ok=True)
             (outdir / f"derived_bus{bus}.csv").write_text(DERIVED_HEADER)
@@ -162,7 +164,7 @@ def cmd_analyze(args) -> int:
                                sample_rate=scenario.sample_rate))
     (outdir / "central_x.csv").write_text("k,x\n" + _x_rows(res.xs))
     if args.derived:  # a placement bus without a stream gets the header only
-        for bus in set(buses) - started:
+        for bus in set(buses) - set(local_streams):
             (outdir / f"derived_bus{bus}.csv").write_text(DERIVED_HEADER)
     incidents = {e.incident for e in res.event_log.entries}
     print(f"{len(res.event_log.entries)} log entries, {len(incidents)} incident(s), "

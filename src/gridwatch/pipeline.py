@@ -21,9 +21,17 @@ and `serve-central` fuses whatever one socket read releases as one block.
 Neither engine's output depends on where its stream is cut, and that
 together with the shared grouping keeps the two event logs byte-identical
 on the same inputs.
+
+A local engine sees only its own sensor's stream, so offline each one runs
+in its own forked child process, one per placement bus, while the parent
+builds the central model, fuses and tracks. A child inherits the streams
+through the fork and sends back only its reports; the parent takes them
+in placement order, so no output depends on which process finishes first.
 """
 from __future__ import annotations
 
+import multiprocessing
+import traceback
 from dataclasses import dataclass, field
 
 from .analytics import AnomalyReport, DerivedSink, LocalEngine, StreamColumns
@@ -69,6 +77,33 @@ def run_local_engine(feeder: FeederModel, bus: int, stream: StreamColumns | None
     return reports
 
 
+def _local_child(conn, feeder: FeederModel, bus: int, stream: StreamColumns | None,
+                 cfg: Config, derived: DerivedSink | None) -> None:
+    """A forked child's work: one sensor's reports, or the exception that
+    stopped its engine with the child's traceback as a note, sent through
+    `conn`."""
+    try:
+        out = run_local_engine(feeder, bus, stream, cfg, derived)
+    except Exception as e:
+        e.add_note(f"in the local engine of bus {bus}:\n" + traceback.format_exc())
+        out = e
+    conn.send(out)
+
+
+def _receive(bus: int, proc, conn) -> list[AnomalyReport]:
+    """A child's reports, once it has exited; what it raised is raised here."""
+    try:
+        out = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"the local engine of bus {bus} exited with code "
+                           f"{proc.exitcode} before sending its reports") from None
+    proc.join()
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def run_offline(feeder: FeederModel, placement: Placement,
                 local_streams: dict[int, StreamColumns],
                 central_streams: dict[int, StreamColumns] | None = None,
@@ -78,25 +113,49 @@ def run_offline(feeder: FeederModel, placement: Placement,
 
     `local_streams` feed the per-sensor engines (sensor-side data);
     `central_streams` feed the fusion stage (uplink data, possibly
-    tampered). They default to the same streams. Each block a local engine
-    derives goes to `derived(bus, block)`, once the central model is built.
+    tampered). They default to the same streams. Each sensor's engine runs
+    in a forked child, one per placement bus, and the parent fuses in the
+    meantime; a placement `partition` refuses raises before any child
+    starts. Each block an engine derives goes to `derived(bus, block)` in
+    that sensor's child, in block order, so the sink must leave its results
+    outside the process, as `analyze --derived` does in files. What a child
+    raises is raised here, and every child has exited when this returns or
+    raises.
     """
     cfg = cfg or Config()
     buses = placement.sensor_buses
     central = local_streams if central_streams is None else central_streams
-    model = build_central_model(partition(build_system(feeder), placement))
+    part = partition(build_system(feeder), placement)
 
-    local_reports: dict[int, list[AnomalyReport]] = {}
-    for bus in buses:
-        local_reports[bus] = run_local_engine(feeder, bus, local_streams.get(bus), cfg, derived)
+    # a child flushes stdout and stderr as it exits; the fork start method
+    # flushes the parent's before each fork, so buffered text prints once
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for bus in buses:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_local_child, name=f"local-engine-{bus}",
+                               args=(send, feeder, bus, local_streams.get(bus), cfg, derived))
+            proc.start()
+            send.close()   # the child holds the only writer, so its death reads as EOF
+            children.append((bus, proc, recv))
 
-    xs: list[tuple[int, float]] = []
-    tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
-    records: list[CentralChangeRecord] = []
-    for released in group_frames(buses, {b: (c.ks, c.vi) for b, c in central.items()},
-                                 BLOCK_FRAMES):
-        records.extend(tracker.step(fuse_frames(model, released)))
-    records.extend(tracker.finish())
+        model = build_central_model(part)
+        xs: list[tuple[int, float]] = []
+        tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
+        records: list[CentralChangeRecord] = []
+        for released in group_frames(buses, {b: (c.ks, c.vi) for b, c in central.items()},
+                                     BLOCK_FRAMES):
+            records.extend(tracker.step(fuse_frames(model, released)))
+        records.extend(tracker.finish())
+
+        local_reports = {bus: _receive(bus, proc, recv) for bus, proc, recv in children}
+    finally:
+        for _, proc, recv in children:
+            recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
 
     flat = [(str(bus), r) for bus, reps in sorted(local_reports.items()) for r in reps]
     log = fuse_reports(flat, records)

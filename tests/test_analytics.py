@@ -575,7 +575,8 @@ def test_central_change_ks_persistent_then_closed(monkeypatch):
     tracker = central.CentralChangeTracker(None, cfg)
     recs = []
     for k, x in enumerate(xs):
-        recs += tracker.step(central.FusedBlock(ks=[k], D=np.array([[x + 0j]]),
+        recs += tracker.step(central.FusedBlock(ks=np.array([k], dtype=np.uint64),
+                                                D=np.array([[x + 0j]]),
                                                 complete=np.array([True])))
     recs += tracker.finish()
     assert [(r.start_k, r.end_k, r.change_ks) for r in recs] == [

@@ -143,7 +143,7 @@ def test_fuse_frames_ordering_and_completeness(ieee34_system):
         31: PhasorFrame(k=0, bus=31, v=np.full(3, 2 + 0j), i_lines={}),
     }
     fused = fuse_streams(model, {b: StreamColumns.from_frames([f]) for b, f in frames.items()})
-    assert fused.ks == [0]
+    assert fused.ks.tolist() == [0]
     assert fused.complete.tolist() == [False]     # sensor 19 is missing
     d_a = fused.D[0]
     assert np.allclose(d_a[0:3], 0.3)      # injections of bus 7
@@ -198,7 +198,7 @@ def test_fuse_frames_matches_loop_reference_bitwise(ieee34_system):
     streams = {b: StreamColumns.from_frames([frames[b] for _, frames in released if b in frames])
                for b in model.sensor_buses}
     block = fuse_streams(model, streams)
-    assert block.ks == list(range(20))
+    assert block.ks.tolist() == list(range(20))
     assert block.complete.tolist() == [t % 4 != 2 for t in range(20)]
     for (_, frames), row in zip(released, block.D):
         assert row.tobytes() == _fuse_reference(model, frames).tobytes()
@@ -279,7 +279,7 @@ def test_central_xs_nan_for_zero_or_non_finite_rows(ieee34_system):
 def _block(ks, D, complete=None):
     D = np.asarray(D, dtype=complex)
     complete = np.ones(len(ks), dtype=bool) if complete is None else np.asarray(complete)
-    return FusedBlock(ks=list(ks), D=D, complete=complete)
+    return FusedBlock(ks=np.array(ks, dtype=np.uint64), D=D, complete=complete)
 
 
 def test_tracker_steady_stream_no_changes(ieee34_system):

@@ -228,16 +228,19 @@ def _derived_oracle(feeder, bus, stream) -> str:
 
 def test_analyze_derived_derives_each_block_once(long_streams, tmp_path, monkeypatch):
     from gridwatch.analytics import LocalEngine
-    calls = []
+    # the engines run in child processes: each call appends a line to a file
+    log = tmp_path / "derive_calls.txt"
     derive = LocalEngine.derive
 
     def counted(self, block):
-        calls.append((self.bus, int(block.ks[0])))
+        with open(log, "a") as f:
+            f.write(f"{self.bus} {int(block.ks[0])}\n")
         return derive(self, block)
 
     monkeypatch.setattr(LocalEngine, "derive", counted)
     assert main(["analyze", "--streams", str(long_streams), "--out", str(tmp_path / "out"),
                  "--derived"]) == 0
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert sorted(calls) == [(bus, k) for bus in (7, 19, 31) for k in (0, 1024)]
 
 

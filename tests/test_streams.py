@@ -5,8 +5,15 @@ one row at a time with Python's `int` and `float`, building one frame per
 k. `read_stream_csv` must give the same frames, the same summed-current
 bits and the same skipped count on any file, except where the two parsers
 disagree on a number's spelling (`test_reader_and_python_parse_some_spellings_apart`).
+
+The tests at the end run `run_offline` over streams and check its forked
+local engines against `serial_offline`, the same hierarchy in one process.
 """
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -14,10 +21,13 @@ import numpy as np
 import pytest
 
 from gridwatch.analytics import PhasorFrame, StreamColumns
-from gridwatch.model import Placement, load_feeder
-from gridwatch.pipeline import run_offline
-from gridwatch.synth import (CSV_HEADER, Scenario, generate, read_stream_csv,
-                             write_stream_csv, write_streams)
+from gridwatch.central import (CentralChangeTracker, build_central_model, fuse_frames,
+                               fuse_reports, group_frames)
+from gridwatch.config import Config
+from gridwatch.model import Placement, build_system, load_feeder, partition
+from gridwatch.pipeline import BLOCK_FRAMES, run_local_engine, run_offline
+from gridwatch.synth import (CSV_HEADER, Scenario, apply_replay_attack, generate,
+                             read_stream_csv, write_stream_csv, write_streams)
 from gridwatch.transport import FRAME, Message, MessageStream, encode
 
 from conftest import DATA, scenario_path
@@ -347,3 +357,106 @@ def test_offline_run_same_from_csv_columns_and_generated_frames(tmp_path, name):
     assert a.event_log.to_jsonl() == b.event_log.to_jsonl()
     assert [(k, repr(x)) for k, x in a.xs] == [(k, repr(x)) for k, x in b.xs]
     assert (a.gaps, a.skipped) == (b.gaps, b.skipped)
+    assert_same_as_serial(b, serial_offline(feeder, placement, streams))
+
+
+# ---------------------------------------------------------------- one process per sensor
+
+def serial_offline(feeder, placement, local, central=None):
+    """run_offline in one process: each sensor's engine in turn, then the
+    central stage; the reference for the forked children."""
+    cfg = Config()
+    central = local if central is None else central
+    reports = {b: run_local_engine(feeder, b, local.get(b), cfg) for b in placement.sensor_buses}
+    model = build_central_model(partition(build_system(feeder), placement))
+    xs = []
+    tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
+    records = []
+    for released in group_frames(placement.sensor_buses,
+                                 {b: (c.ks, c.vi) for b, c in central.items()}, BLOCK_FRAMES):
+        records += tracker.step(fuse_frames(model, released))
+    records += tracker.finish()
+    log = fuse_reports([(str(b), r) for b, reps in sorted(reports.items()) for r in reps],
+                       records)
+    return reports, log, xs, (tracker.gaps, tracker.skipped)
+
+
+def assert_same_as_serial(res, ref):
+    reports, log, xs, counts = ref
+    assert list(res.local_reports) == list(reports)
+    assert repr(res.local_reports) == repr(reports)
+    assert res.event_log.to_jsonl() == log.to_jsonl()
+    assert [(k, repr(x)) for k, x in res.xs] == [(k, repr(x)) for k, x in xs]
+    assert (res.gaps, res.skipped) == counts
+
+
+def _slgf():
+    scenario = Scenario.from_json(scenario_path("slgf").read_text())
+    feeder = load_feeder(DATA / f"{scenario.feeder}.feeder")
+    streams, _ = generate(scenario, feeder)
+    return feeder, Placement(tuple(sorted(streams))), streams
+
+
+def test_offline_run_with_tampered_uplink_same_as_serial():
+    """The local engines read the sensors' own streams and the central stage
+    the tampered uplink, with the engines in child processes as in one."""
+    feeder, placement, streams = _slgf()
+    central = apply_replay_attack(streams, 19, 300, 700, window=120)
+    res = run_offline(feeder, placement, streams, central)
+    ref = serial_offline(feeder, placement, streams, central)
+    assert_same_as_serial(res, ref)
+    assert ref[1].to_jsonl() != serial_offline(feeder, placement, streams)[1].to_jsonl()
+
+
+def test_offline_run_raises_what_a_child_or_the_central_stage_raises(monkeypatch):
+    """A sink that raises in a sensor's process, and a central stage that
+    raises in the parent, both reach the caller, with no child left, also
+    where a child is still busy (its sink sleeps)."""
+    import time
+    from gridwatch import pipeline
+    feeder, placement, streams = _slgf()
+
+    def sink(bus, block):
+        if bus == 19:
+            raise ValueError("sink failed")
+        if bus == 31:
+            time.sleep(30)
+
+    with pytest.raises(ValueError, match="sink failed") as info:
+        run_offline(feeder, placement, streams, derived=sink)
+    assert any("in the local engine of bus 19" in n for n in info.value.__notes__)
+    assert multiprocessing.active_children() == []
+
+    def fuse_frames(model, released):
+        raise ValueError("fusion failed")
+
+    monkeypatch.setattr(pipeline, "fuse_frames", fuse_frames)
+    with pytest.raises(ValueError, match="fusion failed"):
+        run_offline(feeder, placement, streams, derived=lambda bus, block: time.sleep(30))
+    assert multiprocessing.active_children() == []
+
+
+def test_offline_run_prints_what_was_buffered_once():
+    """Text on a buffered stdout before run_offline appears once: a child
+    exiting flushes its copy of the buffer, which must be empty."""
+    code = """if 1:
+        import sys
+        from gridwatch.model import Placement, load_feeder
+        from gridwatch.pipeline import run_offline
+        from gridwatch.synth import Scenario, generate
+        scenario = Scenario.from_json(open(sys.argv[1]).read())
+        feeder = load_feeder(sys.argv[2])
+        streams, _ = generate(scenario, feeder)
+        print("buffered before run_offline")
+        run_offline(feeder, Placement(scenario.sensors), {b: s[:50] for b, s in streams.items()})
+        print("after run_offline")
+    """
+    src = str(DATA.parents[1])
+    # stdout must be a buffered pipe: unbuffered, there is nothing to copy
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code, str(scenario_path("quiet")),
+                           str(DATA / "ieee34.feeder")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "buffered before run_offline\nafter run_offline\n"
