@@ -243,9 +243,11 @@ def check_overcurrent(imag, rating):
     return (rating > 0) & (imag > rating)
 
 
-def classify_voltage(vmag_series, t0_s: float = 1.0 / 60.0, ts_s: float = 1.0 / 120.0,
-                     normal_low: float = 0.9, normal_high: float = 1.1,
-                     interruption: float = 0.1, sustained_s: float = 60.0,
+def classify_voltage(vmag_series, t0_s: float = Config.t0_s, ts_s: float = Config.ts_s,
+                     normal_low: float = Config.v_normal_low,
+                     normal_high: float = Config.v_normal_high,
+                     interruption: float = Config.v_interruption,
+                     sustained_s: float = Config.v_sustained_s,
                      tau_samples: int | None = None):
     """Label a voltage-magnitude excursion from its samples and duration.
 
@@ -301,7 +303,7 @@ class FrequencyTracker:
     estimate as it is.
     """
 
-    def __init__(self, lambda_forget: float = 0.99):
+    def __init__(self, lambda_forget: float = Config.lambda_forget):
         self.lam = lambda_forget
         self.beta_hat = 0.0
         self.quality_drops = 0
@@ -402,11 +404,11 @@ class DetectorState:
     resets both accumulators, re-seeds the mean at the declaring sample and
     re-enters warmup before re-arming (multiple change points).
     """
-    nu: float = 0.5
-    h: float = 5.0
-    lambda_forget: float = 0.99
-    warmup: int = 60
-    var_floor: float = 1e-12
+    nu: float = Config.nu
+    h: float = Config.h
+    lambda_forget: float = Config.lambda_forget
+    warmup: int = Config.warmup
+    var_floor: float = Config.var_floor
     mean_hat: float = 0.0
     var_hat: float = 0.0
     g_plus: float = 0.0
@@ -497,7 +499,8 @@ def _variance(a: np.ndarray) -> float:
 
 
 def classify_trend(signal, change_index: int, window: int,
-                   slope_min: float = 1e-4, variance_ratio: float = 2.0) -> str:
+                   slope_min: float = Config.slope_min,
+                   variance_ratio: float = Config.variance_ratio) -> str:
     """Label the excursion around a change as surge, drop or oscillation.
 
     Least-squares slope over the post-change window decides the direction;

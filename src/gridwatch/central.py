@@ -134,15 +134,26 @@ class Released:
     complete: np.ndarray
 
 
+@dataclass
+class Arrivals:
+    """One sensor's arrival counts, as if its frames came one at a time."""
+    high: int = -1        # highest k delivered, -1 before the first
+    frames: int = 0       # new k delivered
+    duplicates: int = 0   # k at or below an earlier k of the sensor, dropped
+    gaps: int = 0         # k skipped between new ones
+
+
 class FrameAligner:
     """Groups per-sensor sample columns by k on a logical watermark.
 
-    `push(sensor, ks, vi)` takes a sensor's next samples as
+    `push(sensor, ks, vi)` takes a run of a sensor's samples as
     `analytics.StreamColumns` lays them out: `ks` (uint64) and `vi` (complex
-    (m, 2, 3)), each sample's voltage and then its summed line currents. Per
-    sensor, k must rise strictly, within a push and from one push to the
-    next; `transport.SessionState` enforces this on the wire, and
-    `StreamColumns` offline.
+    (m, 2, 3)), each sample's voltage and then its summed line currents.
+    The run may come in any order. A k is new for the sensor where it
+    exceeds the sensor's highest k so far and every earlier k of the run;
+    the others are duplicates and are dropped. The sensor's `arrivals`
+    count new frames, duplicates and skipped k as if the frames came one
+    at a time, so they do not depend on where a stream is cut.
 
     Sample k is released once every expected sensor has delivered it, or
     once no sensor can still deliver it: each has either delivered a later
@@ -152,14 +163,14 @@ class FrameAligner:
     has not sent anything yet holds every k back. Sensors missing from a
     released sample count as a gap downstream, so every caller sees the same
     samples whatever the machine timing. No release reads a clock. Releases
-    are strictly ascending in k; a sample for an already released k is
+    are strictly ascending in k; a new sample for an already released k is
     dropped and counted in `late`.
     """
 
     def __init__(self, sensors):
         self.sensors = frozenset(sensors)
+        self.arrivals = {s: Arrivals() for s in sorted(self.sensors)}
         self._pending = {s: (_NO_KS, _NO_VI) for s in self.sensors}
-        self._high: dict[int, int] = {}     # sensor -> highest k delivered
         self._ended: set[int] = set()
         self._last: int | None = None       # highest k released
         self.stale_releases = 0             # samples released with a sensor missing
@@ -173,13 +184,27 @@ class FrameAligner:
     def push(self, sensor: int, ks: np.ndarray, vi: np.ndarray) -> list[Released]:
         if sensor not in self.sensors:
             raise ValueError(f"sensor {sensor} is not expected")
+        arr = self.arrivals[sensor]
+        new = np.ones(len(ks), dtype=bool)
+        new[1:] = ks[1:] > np.maximum.accumulate(ks)[:-1]
+        if arr.high >= 0:
+            new &= ks > arr.high
+        n = int(np.count_nonzero(new))
+        arr.duplicates += len(ks) - n
+        if n == 0:
+            return []
+        if n < len(ks):
+            ks, vi = ks[new], vi[new]
+        first, last = int(ks[0]), int(ks[-1])
+        arr.gaps += last - first - (n - 1) + (first - arr.high - 1 if arr.high >= 0 else 0)
+        arr.frames += n
+        arr.high = last
         self._ended.discard(sensor)
         if self._last is not None:
             late = int(ks.searchsorted(np.uint64(self._last), side="right"))
             self.late += late
             ks, vi = ks[late:], vi[late:]
         if len(ks):
-            self._high[sensor] = int(ks[-1])
             old_ks, old_vi = self._pending[sensor]
             if len(old_ks):
                 ks, vi = np.concatenate((old_ks, ks)), np.concatenate((old_vi, vi))
@@ -196,7 +221,7 @@ class FrameAligner:
         return self._release(flush=True)
 
     def _release(self, flush: bool = False) -> list[Released]:
-        live = [self._high.get(s, -1) for s in self.sensors if s not in self._ended]
+        live = [self.arrivals[s].high for s in self.sensors if s not in self._ended]
         if flush or not live:
             cut = {s: len(ks) for s, (ks, _) in self._pending.items()}
         else:

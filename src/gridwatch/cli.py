@@ -237,7 +237,7 @@ def cmd_serve_central(args) -> int:
             timeout_s=args.timeout,
             sink=lambda ks, xs: xcsv.write(_x_rows(zip(ks, xs))))
     (outdir / "eventlog.jsonl").write_text(result.event_log.to_jsonl(epoch=args.epoch))
-    gaps = sum(s.gaps for s in result.sessions.values())
+    gaps = sum(a.gaps for a in result.arrivals.values())
     print(f"sessions={len(result.sessions)} gaps={gaps} rejected={result.rejected}; "
           f"wrote {outdir}/eventlog.jsonl")
     unfinished = sum(1 for b in placement.sensor_buses

@@ -216,19 +216,33 @@ def load_feeder(path: str | Path) -> FeederModel:
     return model
 
 
+def reachable(lines, starts) -> list[set[int]]:
+    """For each bus of `starts` in turn, the buses that `lines` join it to;
+    empty where an earlier start reached it already."""
+    adj: dict[int, list[int]] = {}
+    for l in lines:
+        adj.setdefault(l.from_bus, []).append(l.to_bus)
+        adj.setdefault(l.to_bus, []).append(l.from_bus)
+    seen: set[int] = set()
+    out = []
+    for start in starts:
+        found = set()
+        stack = [start] if start not in seen else []
+        seen.update(stack)
+        while stack:
+            cur = stack.pop()
+            found.add(cur)
+            for n in adj.get(cur, ()):
+                if n not in seen:
+                    seen.add(n)
+                    stack.append(n)
+        out.append(found)
+    return out
+
+
 def _check_connected(model: FeederModel) -> None:
-    adj: dict[int, list[int]] = {b.id: [] for b in model.buses}
-    for l in model.lines:
-        adj[l.from_bus].append(l.to_bus)
-        adj[l.to_bus].append(l.from_bus)
-    seen = {model.slack_bus}
-    stack = [model.slack_bus]
-    while stack:
-        for n in adj[stack.pop()]:
-            if n not in seen:
-                seen.add(n)
-                stack.append(n)
-    missing = sorted(set(model.bus_ids) - seen)
+    (live,) = reachable(model.lines, [model.slack_bus])
+    missing = sorted(set(model.bus_ids) - live)
     if missing:
         raise FeederError(f"feeder not connected: buses {missing} unreachable from slack")
 
@@ -242,39 +256,15 @@ def reduce_laterals(feeder: FeederModel) -> FeederModel:
     the full feeder can be rolled up onto the retained buses.
     """
     keep_lines = [l for l in feeder.lines if l.phases.is_three_phase]
-    adj: dict[int, list[int]] = {b.id: [] for b in feeder.buses}
-    for l in keep_lines:
-        adj[l.from_bus].append(l.to_bus)
-        adj[l.to_bus].append(l.from_bus)
-    kept = {feeder.slack_bus}
-    stack = [feeder.slack_bus]
-    while stack:
-        for n in adj[stack.pop()]:
-            if n not in kept:
-                kept.add(n)
-                stack.append(n)
+    (kept,) = reachable(keep_lines, [feeder.slack_bus])
 
     # walk each removed subtree back to its attachment point on the kept core
-    full_adj: dict[int, list[int]] = {b.id: [] for b in feeder.buses}
-    for l in feeder.lines:
-        full_adj[l.from_bus].append(l.to_bus)
-        full_adj[l.to_bus].append(l.from_bus)
+    attach = sorted((l.from_bus, l.to_bus) if l.from_bus in kept else (l.to_bus, l.from_bus)
+                    for l in feeder.lines if (l.from_bus in kept) != (l.to_bus in kept))
+    lateral = [l for l in feeder.lines if l.from_bus not in kept and l.to_bus not in kept]
     provenance: dict[int, list[int]] = {}
-    visited = set(kept)
-    for root in sorted(kept):
-        for n in sorted(full_adj[root]):
-            if n in visited:
-                continue
-            subtree = []
-            stack = [n]
-            visited.add(n)
-            while stack:
-                cur = stack.pop()
-                subtree.append(cur)
-                for m in full_adj[cur]:
-                    if m not in visited:
-                        visited.add(m)
-                        stack.append(m)
+    for (root, _), subtree in zip(attach, reachable(lateral, [n for _, n in attach])):
+        if subtree:
             provenance.setdefault(root, []).extend(sorted(subtree))
 
     if len(kept) == feeder.bus_count:

@@ -7,7 +7,8 @@ the file and the engines.
 
 The networked processes in `transport.py` do not call `run_offline`; they
 run the same local engine per sensor and feed the same block tracker, and
-both paths group samples by index k in the same `central.FrameAligner`:
+both paths group samples by index k in the same `central.FrameAligner`,
+which also drops each sensor's duplicate k and counts its skipped ones:
 offline the sensors push their recorded columns in rounds and then end,
 while `serve-central` pushes each socket read's frames as they arrive. A
 sensor missing at k counts as a gap in both.

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import StreamColumns
-from .model import FeederModel, LineSegment, SystemMatrix, build_system
+from .model import FeederModel, LineSegment, SystemMatrix, build_system, reachable
 
 EVENT_KINDS = ("voltage_sag", "slg_fault", "fuse_open", "load_loss",
                "load_step", "replay_attack")
@@ -141,21 +141,11 @@ class GroundTruth:
 
 def active_phase_indices(feeder: FeederModel, lines: tuple[LineSegment, ...]) -> np.ndarray:
     """(bus, phase) rows that carry a conductor energized from the slack."""
-    adj: dict[int, list[tuple[int, LineSegment]]] = {b.id: [] for b in feeder.buses}
-    for l in lines:
-        adj[l.from_bus].append((l.to_bus, l))
-        adj[l.to_bus].append((l.from_bus, l))
     live = np.zeros((feeder.bus_count, 3), dtype=bool)
     for p in range(3):
-        seen = {feeder.slack_bus}
-        stack = [feeder.slack_bus]
-        while stack:
-            cur = stack.pop()
-            live[feeder.index_of(cur), p] = True
-            for nxt, l in adj[cur]:
-                if nxt not in seen and l.series_admittance[p, p] != 0:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        (on,) = reachable([l for l in lines if l.series_admittance[p, p] != 0],
+                          [feeder.slack_bus])
+        live[[feeder.index_of(b) for b in on], p] = True
     return live.reshape(-1)
 
 

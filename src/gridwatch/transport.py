@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import AnomalyReport, LocalEngine, PhasorFrame
-from .central import (CentralChangeTracker, EventLog, FrameAligner, Released,
-                      build_central_model, fuse_frames, fuse_reports)
+from .central import (Arrivals, CentralChangeTracker, EventLog, FrameAligner,
+                      Released, build_central_model, fuse_frames, fuse_reports)
 from .config import Config
 from .model import FeederModel, Placement, build_system, partition
 from .pipeline import line_ratings_at
@@ -84,37 +84,9 @@ class FrameRun:
 
 @dataclass
 class SessionState:
-    sensor: int
-    last_k: int = -1
-    gaps: int = 0
-    duplicates: int = 0
-    frames: int = 0
+    """What the central node knows of one sensor's sessions."""
     connected: bool = True
     done: bool = False  # the last session ended with Bye
-
-    def observe(self, ks: np.ndarray) -> np.ndarray:
-        """Track the arrival order of a run of frames, at least one; True
-        where k is new.
-
-        A k is new where it exceeds `last_k` and every earlier k of the run;
-        the others are duplicates. The counters move as if the frames came
-        one at a time: a new k that skips samples adds them to `gaps`.
-        """
-        ok = np.empty(len(ks), dtype=bool)
-        ok[0] = True
-        ok[1:] = ks[1:] > np.maximum.accumulate(ks)[:-1]
-        if self.last_k >= 0:
-            ok &= ks > self.last_k
-        new = ks[ok]
-        if len(new):
-            first, last = int(new[0]), int(new[-1])
-            self.gaps += last - first - (len(new) - 1)
-            if self.last_k >= 0:
-                self.gaps += first - self.last_k - 1
-            self.last_k = last
-        self.frames += len(new)
-        self.duplicates += len(ks) - len(new)
-        return ok
 
 
 _U16 = struct.Struct("<H")
@@ -377,11 +349,20 @@ class MessageStream:
 
 
 def pace(frames, rate_multiplier: float = 0.0, sample_rate: float = 120.0):
-    """Yield recorded frames at rate_multiplier x real time; 0 means unpaced."""
-    period = (1.0 / (sample_rate * rate_multiplier)) if rate_multiplier > 0 else 0.0
-    for f in frames:
-        if period:
-            time.sleep(period)
+    """Yield recorded frames at rate_multiplier x real time; 0 means unpaced.
+
+    Frame i is due i periods after the first on the monotonic clock, so the
+    time the consumer spends between frames does not slow the rate.
+    """
+    if rate_multiplier <= 0:
+        yield from frames
+        return
+    period = 1.0 / (sample_rate * rate_multiplier)
+    t0 = time.monotonic()
+    for i, f in enumerate(frames):
+        wait = t0 + i * period - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
         yield f
 
 
@@ -511,6 +492,7 @@ class CentralResult:
     event_log: EventLog
     xs: list[tuple[int, float]]   # (k, x) pairs, unless a sink took them
     sessions: dict[int, SessionState] = field(default_factory=dict)
+    arrivals: dict[int, Arrivals] = field(default_factory=dict)  # per expected sensor
     rejected: int = 0
     protocol_errors: int = 0  # sessions ended by a message that failed to decode
     stale_releases: int = 0   # samples fused with a sensor missing
@@ -578,10 +560,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
         state = sessions.get(hello.sensor)
         if state is not None and state.connected:
             return False
-        if state is None:
-            state = sessions[hello.sensor] = SessionState(sensor=hello.sensor)
-        state.connected = True
-        state.done = False
+        sessions[hello.sensor] = SessionState()
         link.sensor = hello.sensor
         return True
 
@@ -606,16 +585,6 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
             sel.unregister(server)    # the listener broke: serve the sessions we have
             return
         sel.register(conn, selectors.EVENT_READ, _Link())
-
-    def push(sensor: int, runs: list[FrameRun]) -> None:
-        """One read's frames of one session: one arrival check, one push."""
-        ks = np.concatenate([r.ks for r in runs])
-        vi = np.concatenate([r.vi for r in runs])
-        new = sessions[sensor].observe(ks)
-        if not new.all():
-            ks, vi = ks[new], vi[new]
-        if len(ks):
-            released.extend(aligner.push(sensor, ks, vi))
 
     def receive(conn: socket.socket, link: _Link) -> None:
         nonlocal rejected, protocol_errors
@@ -653,8 +622,9 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
         except ProtocolError:
             protocol_errors += 1
             ended = True
-        if runs:
-            push(link.sensor, runs)
+        if runs:   # one push per read, of every frame it holds
+            released.extend(aligner.push(link.sensor, np.concatenate([r.ks for r in runs]),
+                                         np.concatenate([r.vi for r in runs])))
         if ended:
             close(conn, link, bye)
 
@@ -686,6 +656,7 @@ def serve_central(listen_addr: tuple[str, int], feeder: FeederModel,
     records.extend(tracker.finish())
     log = fuse_reports(reports, records)
     return CentralResult(event_log=log, xs=xs, sessions=sessions,
-                         rejected=rejected, protocol_errors=protocol_errors,
+                         arrivals=aligner.arrivals, rejected=rejected,
+                         protocol_errors=protocol_errors,
                          stale_releases=aligner.stale_releases,
                          late=aligner.late, gaps=tracker.gaps, skipped=tracker.skipped)

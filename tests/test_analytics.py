@@ -1,3 +1,4 @@
+import inspect
 import math
 import struct
 import tracemalloc
@@ -246,6 +247,26 @@ def test_qss_residual_zero_matrix():
 
 
 # ---------------------------------------------------------------- cusum
+
+def test_rule_defaults_are_the_config_defaults():
+    """The detector and the rules default to `Config`'s values, and the
+    detector to criterion 8's pinned nu = 0.5 and h = 5."""
+    cfg = Config()
+    assert DetectorState.from_config(cfg) == DetectorState()
+    assert (DetectorState().nu, DetectorState().h) == (0.5, 5.0)
+    assert FrequencyTracker().lam == cfg.lambda_forget
+
+    def defaults(fn):
+        return {n: p.default for n, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty and p.default is not None}
+
+    assert defaults(classify_voltage) == {
+        "t0_s": cfg.t0_s, "ts_s": cfg.ts_s, "normal_low": cfg.v_normal_low,
+        "normal_high": cfg.v_normal_high, "interruption": cfg.v_interruption,
+        "sustained_s": cfg.v_sustained_s}
+    assert defaults(classify_trend) == {"slope_min": cfg.slope_min,
+                                        "variance_ratio": cfg.variance_ratio}
+
 
 def test_cusum_accumulators_never_negative():
     rng = np.random.default_rng(1)

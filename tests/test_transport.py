@@ -10,11 +10,11 @@ from gridwatch.config import Config
 from gridwatch.model import Placement
 from gridwatch.pipeline import run_offline
 from gridwatch.synth import Scenario, generate, read_stream_csv, write_stream_csv
-from gridwatch.central import CentralChangeTracker, build_central_model, fuse_frames
+from gridwatch.central import Arrivals, CentralChangeTracker, build_central_model, fuse_frames
 from gridwatch.model import build_system, partition
 from gridwatch.transport import (BYE, FRAME, HEARTBEAT, HELLO, REPORT,
                                  ChecksumError, FrameAligner, MalformedError,
-                                 Message, MessageStream, ProtocolError, SessionState,
+                                 Message, MessageStream, ProtocolError,
                                  TruncatedError, VersionError, decode, encode,
                                  pace, serve_central, serve_local)
 
@@ -341,45 +341,6 @@ def test_central_path_leaves_decoded_arrays_alone(ieee34):
     assert xs["decoded"] == xs["original"] and xs["decoded"]
 
 
-# ---------------------------------------------------------------- sessions
-
-def _observe_one_at_a_time(state, ks):
-    """The per-frame rule the array form must match."""
-    out = []
-    for k in ks:
-        if k <= state.last_k:
-            state.duplicates += 1
-            out.append(False)
-            continue
-        if state.last_k >= 0 and k > state.last_k + 1:
-            state.gaps += k - state.last_k - 1
-        state.last_k = k
-        state.frames += 1
-        out.append(True)
-    return out
-
-
-def test_observe_matches_the_per_frame_rule():
-    """Random k with duplicates, gaps and reversals, cut into random runs."""
-    rng = np.random.default_rng(14)
-    top = 2 ** 64 - 1
-    for trial in range(300):
-        n = int(rng.integers(1, 60))
-        base = top - 200 if trial % 5 == 0 else 0
-        ks = [base + int(k) for k in np.cumsum(rng.integers(-3, 4, size=n)) + 100]
-        ref, got = SessionState(sensor=7), SessionState(sensor=7)
-        if trial % 2:
-            ref.last_k = got.last_k = base + 100
-        want = _observe_one_at_a_time(ref, ks)
-        cuts = sorted({0, n, *rng.integers(1, n + 1, size=3).tolist()})
-        mask = []
-        for a, b in zip(cuts, cuts[1:]):
-            mask += got.observe(np.array(ks[a:b], dtype=np.uint64)).tolist()
-        assert mask == want
-        assert (got.last_k, got.gaps, got.duplicates, got.frames) == \
-            (ref.last_k, ref.gaps, ref.duplicates, ref.frames)
-
-
 # ---------------------------------------------------------------- aligner
 
 def one(k, bus, frame=None):
@@ -390,6 +351,88 @@ def one(k, bus, frame=None):
 
 def released_ks(out):
     return [k for r in out for k in r.ks.tolist()]
+
+
+def _arrive_one_at_a_time(arr, ks):
+    """The per-frame rule the aligner's runs must match: True where k is new."""
+    out = []
+    for k in ks:
+        if k <= arr.high:
+            arr.duplicates += 1
+            out.append(False)
+            continue
+        if arr.high >= 0 and k > arr.high + 1:
+            arr.gaps += k - arr.high - 1
+        arr.high = k
+        arr.frames += 1
+        out.append(True)
+    return out
+
+
+def _tagged(ks, tags):
+    """A push's columns whose every phasor is its frame's tag."""
+    vi = np.repeat(np.asarray(tags, dtype=complex), 6).reshape(-1, 2, 3)
+    return np.array(ks, dtype=np.uint64), vi
+
+
+def _released_rows(out):
+    """(k, complete, {sensor: tag}) of every released sample, in order."""
+    rows = []
+    for r in out:
+        tags = [{} for _ in r.ks]
+        for s, (idx, vi) in r.cols.items():
+            for i, tag in zip(idx.tolist(), vi[:, 0, 0].real.tolist()):
+                tags[i][s] = tag
+        rows += zip(r.ks.tolist(), r.complete.tolist(), tags)
+    return rows
+
+
+def test_aligner_arrivals_match_the_per_frame_rule():
+    """Random k with duplicates, gaps and reversals, cut into random runs,
+    with the other sensor pushing and either sensor ending between runs: the
+    counts, the released samples with the copy kept of each, and `late` and
+    `stale_releases` are those of the per-frame rule, whose new frames go to
+    a second aligner one at a time."""
+    rng = np.random.default_rng(14)
+    other = np.random.default_rng(15)
+    top = 2 ** 64 - 1
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        base = top - 200 if trial % 5 == 0 else 0
+        ks = [base + int(k) for k in np.cumsum(rng.integers(-3, 4, size=n)) + 100]
+        ref = Arrivals()
+        got, want = FrameAligner({7, 19}), FrameAligner({7, 19})
+        out_got, out_want = [], []
+        if trial % 2:
+            _arrive_one_at_a_time(ref, [base + 100])
+            out_got += got.push(7, *_tagged([base + 100], [0]))
+            out_want += want.push(7, *_tagged([base + 100], [0]))
+        new = _arrive_one_at_a_time(ref, ks)
+        cuts = sorted({0, n, *rng.integers(1, n + 1, size=3).tolist()})
+        lo = max(min(ks) - 5, 0)
+        span = min(max(ks) + 5, top) - lo + 1
+        partner = np.array_split(lo + np.unique(other.integers(0, span, size=n)).astype(object),
+                                 len(cuts) - 1)
+        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            cols = _tagged(partner[j].tolist(), [-1] * len(partner[j]))
+            out_got += got.push(19, *cols)
+            out_want += want.push(19, *cols)
+            out_got += got.push(7, *_tagged(ks[a:b], range(a + 1, b + 1)))
+            for i in range(a, b):
+                if new[i]:
+                    out_want += want.push(7, *_tagged([ks[i]], [i + 1]))
+            ending = (None, 7, 19)[other.integers(3)]
+            if ending is not None:
+                out_got += got.end(ending)
+                out_want += want.end(ending)
+        assert got.arrivals[7] == ref
+        assert got.arrivals[19] == want.arrivals[19]
+        assert (want.arrivals[7].frames, want.arrivals[7].high) == (ref.frames, ref.high)
+        for al, out in ((got, out_got), (want, out_want)):
+            out += al.end(7) + al.end(19)
+        assert _released_rows(out_got) == _released_rows(out_want)
+        assert (got.late, got.stale_releases) == (want.late, want.stale_releases)
+        assert len(got.pending) == len(want.pending) == 0
 
 
 def test_aligner_releases_complete_sets_in_order():
@@ -419,15 +462,20 @@ def test_aligner_late_frame_after_reconnect():
     al = FrameAligner({1, 2})
     al.push(1, *one(0, 1))
     assert released_ks(al.push(2, *one(0, 2))) == [0]
-    al.end(2)
-    # sensor 2 reconnects and replays k=0, which is already fused
-    assert al.push(2, *one(0, 2)) == []
-    assert al.late == 1
-    # once back, sensor 2 holds later samples back again
     assert al.push(1, *one(1, 1)) == []
     assert al.push(1, *one(2, 1)) == []
-    assert released_ks(al.push(2, *one(1, 2))) == [1]
-    assert al.stale_releases == 0
+    assert released_ks(al.end(2)) == [1]
+    assert al.stale_releases == 1
+    # sensor 2 reconnects and replays k=0, which it sent: a duplicate
+    assert al.push(2, *one(0, 2)) == []
+    assert (al.arrivals[2].duplicates, al.late) == (1, 0)
+    # k=1 it never sent, but it is already fused without it: late
+    assert al.push(2, *one(1, 2)) == []
+    assert (al.arrivals[2].duplicates, al.late) == (1, 1)
+    # once back, sensor 2 holds later samples back again
+    assert al.push(1, *one(3, 1)) == []
+    assert released_ks(al.push(2, *one(2, 2))) == [2]
+    assert al.stale_releases == 1
 
 
 def test_aligner_flush():
@@ -452,6 +500,32 @@ def test_replay_csv_roundtrip(tmp_path, ieee34):
     for a, b in zip(streams[7], back):
         assert a.k == b.k
         assert np.array_equal(a.v, b.v)
+
+
+def test_pace_keeps_the_rate_whatever_the_consumer_spends(monkeypatch):
+    """At rate 10, frame i is due i/1200 s after the first, also when the
+    consumer spends 0.5 ms on each frame; unpaced, nothing sleeps."""
+    import gridwatch.transport as tr
+
+    class Clock:
+        now = 100.0
+
+        def monotonic(self):
+            return self.now
+
+        def sleep(self, s):
+            assert s > 0
+            self.now += s
+
+    clock = Clock()
+    monkeypatch.setattr(tr, "time", clock)
+    due = []
+    for _ in pace(range(120), rate_multiplier=10):
+        due.append(clock.now - 100.0)
+        clock.now += 0.0005
+    assert due == pytest.approx([i / 1200 for i in range(120)], abs=1e-12)
+    clock.now = 0.0
+    assert list(pace(range(5))) == list(range(5)) and clock.now == 0.0
 
 
 # ---------------------------------------------------------------- processes
@@ -570,7 +644,7 @@ def test_central_waits_for_dropped_sensor(ieee34):
                           central_streams={7: streams[7][:10], 19: streams[19]}, cfg=cfg)
     assert res.event_log.to_jsonl() == offline.event_log.to_jsonl()
     assert res.xs == offline.xs
-    assert res.sessions[7].frames == 120 and res.sessions[7].done
+    assert res.arrivals[7].frames == 120 and res.sessions[7].done
     assert (res.stale_releases, res.late, res.gaps, res.skipped) == (110, 110, 110, 0)
 
 
@@ -656,7 +730,7 @@ def test_central_ends_session_stamped_with_another_sensor(ieee34):
 
     res = _serve(ieee34, placement, send, timeout_s=2.0)
     assert res.protocol_errors == 2
-    assert {b: (s.frames, s.done) for b, s in res.sessions.items()} == {7: (5, False),
+    assert {b: (res.arrivals[b].frames, s.done) for b, s in res.sessions.items()} == {7: (5, False),
                                                                         31: (5, False)}
     offline = run_offline(ieee34, placement, {b: streams[b][:5] for b in (7, 31)})
     assert res.xs == offline.xs and len(res.xs) == 5
@@ -699,7 +773,7 @@ def test_serve_path_builds_no_frame_objects(ieee34, monkeypatch):
                 conn.sendall(b"".join(parts))
 
     res = _serve(ieee34, placement, send)
-    assert [res.sessions[b].frames for b in (7, 31)] == [2000, 2000]
+    assert [res.arrivals[b].frames for b in (7, 31)] == [2000, 2000]
     assert len(res.xs) == 2000 and res.protocol_errors == 0
     assert sum(runs) == 4000 and len(runs) >= 2 * 2000 // 37
     assert len(parsed) <= len(runs) and len(parsed) == 2   # one layout per session

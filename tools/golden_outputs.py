@@ -1,49 +1,91 @@
-"""Write the outputs of `simulate` and `analyze --derived` into one tree.
+"""Write the outputs of `simulate`, `analyze --derived` and `serve-central`
+into one tree.
 
 Run from the repo root:  python tools/golden_outputs.py OUTDIR
 
 For every bundled scenario, and for `slgf` with a replay attack on bus 19
 over k 300-700 (window 120), OUTDIR/<name>/streams holds what `simulate`
-wrote and OUTDIR/<name>/out what `analyze --derived` wrote from it. The
-tree uses the gridwatch of the checkout this script sits in, so a change
-that must keep every output byte for byte is checked by running the script
-on both checkouts and comparing the trees with `diff -r`.
+wrote and OUTDIR/<name>/out what `analyze --derived` wrote from it.
+OUTDIR/<name>/net holds what `serve-central` wrote (`eventlog.jsonl`,
+`central_x.csv`) and printed (`stdout.txt`, `stderr.txt`), fed over
+loopback by one `transport.serve_local` per sensor, each replaying that
+sensor's own stream CSV; the server and the senders run as threads of
+this process. Paths in the printed text are relative to OUTDIR. The tree
+uses the gridwatch of the checkout this script sits in, so a change that
+must keep every output byte for byte, offline or networked, is checked by
+running the script on both checkouts and comparing the trees with
+`diff -r`.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import socket
 import sys
+import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gridwatch import cli  # noqa: E402
+from gridwatch import cli, synth  # noqa: E402
+from gridwatch.model import load_feeder  # noqa: E402
+from gridwatch.transport import serve_local  # noqa: E402
 
 REPLAY = {"kind": "replay_attack", "bus": 19, "start_k": 300, "end_k": 700,
           "magnitude": 120}
 
 
-def run(outdir: Path, name: str, scenario: Path) -> None:
-    streams, out = outdir / name / "streams", outdir / name / "out"
+def run(name: str, scenario: Path) -> None:
+    streams, out = Path(name, "streams"), Path(name, "out")
     for argv in (["simulate", "--scenario", str(scenario), "--out", str(streams)],
                  ["analyze", "--streams", str(streams), "--out", str(out), "--derived"]):
         code = cli.main(argv)
         if code:
             sys.exit(f"{name}: gridwatch {argv[0]} exited {code}")
+    run_net(name, streams)
+
+
+def run_net(name: str, streams: Path) -> None:
+    """`serve-central` in a thread, fed by one sender thread per sensor."""
+    sc = synth.Scenario.from_json((streams / "scenario.json").read_text())
+    feeder = load_feeder(cli.find_feeder(sc.feeder))
+    net = Path(name, "net")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    argv = ["serve-central", "--feeder", sc.feeder, "--port", str(port), "--out", str(net),
+            "--placement", ",".join(map(str, sc.sensors)), "--epoch", sc.start_time]
+    box = {}
+    central = threading.Thread(target=lambda: box.update(code=cli.main(argv)))
+    senders = [threading.Thread(target=serve_local, args=(
+        synth.read_stream_csv(streams / f"bus{b}.csv")[0], b, ("127.0.0.1", port), feeder))
+        for b in sc.sensors]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        for t in (central, *senders):
+            t.start()
+        for t in (central, *senders):
+            t.join()
+    if box.get("code"):
+        sys.exit(f"{name}: gridwatch serve-central exited {box.get('code')}")
+    (net / "stdout.txt").write_text(out.getvalue())
+    (net / "stderr.txt").write_text(err.getvalue())
 
 
 def main(argv: list[str]) -> None:
     if len(argv) != 1 or argv[0].startswith("-"):
         sys.exit("usage: python tools/golden_outputs.py OUTDIR")
-    outdir = Path(argv[0])
-    outdir.mkdir(parents=True, exist_ok=True)
+    Path(argv[0]).mkdir(parents=True, exist_ok=True)
+    os.chdir(argv[0])
     for scenario in sorted((cli.DATA_DIR / "scenarios").glob("*.json")):
-        run(outdir, scenario.stem, scenario)
+        run(scenario.stem, scenario)
     doc = json.loads((cli.DATA_DIR / "scenarios" / "slgf.json").read_text())
     doc["events"] = sorted(doc["events"] + [REPLAY], key=lambda e: e["start_k"])
-    scenario = outdir / "slgf_replay.json"
+    scenario = Path("slgf_replay.json")
     scenario.write_text(json.dumps(doc))
-    run(outdir, "slgf_replay", scenario)
+    run("slgf_replay", scenario)
 
 
 if __name__ == "__main__":
