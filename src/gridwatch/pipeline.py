@@ -25,9 +25,11 @@ on the same inputs.
 
 A local engine sees only its own sensor's stream, so offline each one runs
 in its own forked child process, one per placement bus, while the parent
-builds the central model, fuses and tracks. A child inherits the streams
-through the fork and sends back only its reports; the parent takes them
-in placement order, so no output depends on which process finishes first.
+fuses and tracks. The parent builds the central model before it forks: its
+SVD wakes the BLAS worker threads, which would otherwise spin beside the
+children for the CPUs. A child inherits the streams through the fork and
+sends back only its reports; the parent takes them in placement order, so
+no output depends on which process finishes first.
 """
 from __future__ import annotations
 
@@ -114,19 +116,19 @@ def run_offline(feeder: FeederModel, placement: Placement,
 
     `local_streams` feed the per-sensor engines (sensor-side data);
     `central_streams` feed the fusion stage (uplink data, possibly
-    tampered). They default to the same streams. Each sensor's engine runs
-    in a forked child, one per placement bus, and the parent fuses in the
-    meantime; a placement `partition` refuses raises before any child
-    starts. Each block an engine derives goes to `derived(bus, block)` in
-    that sensor's child, in block order, so the sink must leave its results
-    outside the process, as `analyze --derived` does in files. What a child
-    raises is raised here, and every child has exited when this returns or
-    raises.
+    tampered). They default to the same streams. The parent builds the
+    central model, so a placement `partition` refuses raises before any
+    child starts; then each sensor's engine runs in a forked child, one per
+    placement bus, and the parent fuses in the meantime. Each block an
+    engine derives goes to `derived(bus, block)` in that sensor's child, in
+    block order, so the sink must leave its results outside the process, as
+    `analyze --derived` does in files. What a child raises is raised here,
+    and every child has exited when this returns or raises.
     """
     cfg = cfg or Config()
     buses = placement.sensor_buses
     central = local_streams if central_streams is None else central_streams
-    part = partition(build_system(feeder), placement)
+    model = build_central_model(partition(build_system(feeder), placement))
 
     # a child flushes stdout and stderr as it exits; the fork start method
     # flushes the parent's before each fork, so buffered text prints once
@@ -141,7 +143,6 @@ def run_offline(feeder: FeederModel, placement: Placement,
             send.close()   # the child holds the only writer, so its death reads as EOF
             children.append((bus, proc, recv))
 
-        model = build_central_model(part)
         xs: list[tuple[int, float]] = []
         tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
         records: list[CentralChangeRecord] = []

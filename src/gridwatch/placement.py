@@ -28,10 +28,12 @@ min_j(lam_j - |w_j|^2) until theta moves by at most eps lambda_max(G_r).
 Every theta is an upper bound on the smallest eigenvalue mu of G (Parlett,
 The Symmetric Eigenvalue Problem, 1998, ch. 11), and at sigma = mu the
 subspace holds the exact vector, whose coordinates past the first four are
-(lam - mu)^-1 w times an m-vector (the secular form of Golub 1973). The clamp keeps every divisor at least tol where lam_0 is tied
-more than four times. On the bundled greedy paths a downdate took 4.0 steps
-on average and at most 6. The result is used only when it is certified:
-its residual is at most tol, and the Haynsworth inertia count
+(lam - mu)^-1 w times an m-vector (the secular form of Golub 1973). The
+clamp keeps every divisor at least tol where lam_0 is tied more than four
+times. A downdate took 4.0 steps on average and at most 6 on the greedy
+ieee123-reduced K=20 path, 4.2 and 5 at K=4, and 3.8 and 5 over the
+exhaustive ieee34 K=3 combinations. The result is used only when it is
+certified: its residual is at most tol, and the Haynsworth inertia count
 N(x) = #{lam_j < x} + #{eigenvalues of w^H (lam - x)^-1 w above 1}, the
 number of eigenvalues of G below x, gives N(theta - tol) = 0 and
 N(theta + _GAP_REL lambda_max(G_r)) = 1. As lambda_max(G_r) >=
@@ -43,6 +45,24 @@ whose H_u is tall, takes the full eigensolve of G_r - C C^H
 `PlacementResult.eigensolves` counts them. A Ritz step costs a QR of the
 n_live x m block and an eigensolve of order m + 4, against O(n_live^3) for
 the full eigensolve.
+
+Stacks. The solvers hand a round's candidates to `RoundBase.downdate`: the
+greedy all of a round's, the exhaustive search its combinations in chunks
+of _STACK. Their downdates are solved together, in stacks of at most
+_STACK candidates, which bounds the memory of the n_live x m blocks. Each
+Ritz step is one stacked QR and one stacked eigensolve over the candidates
+still iterating; each candidate leaves the stack at its own last step, and
+the residuals and both inertia counts are then formed for the whole stack.
+numpy computes every item of a stacked `qr`, `eigh`, `eigvalsh` and
+`matmul` as the call on that item alone does, so each candidate gets the
+bits it gets solved alone, whatever the stack holds: so it was on every
+candidate of the greedy paths below and of the exhaustive ieee34 K=3
+search, and the tests check it on synthetic spectra and at stack cuts of
+1 and 7, under a given number of BLAS threads. Products fused across
+the stack (Q against all the Ritz vectors in one gemm, `einsum`) round
+differently, so u = Q y and the objective's last products stay per
+candidate. `objective` reads the candidate's result, or solves a placement
+the round was not given as a stack of one.
 
 Accuracy. Forming G squares the condition number: the eigenvector's error
 is about eps * lambda_max / gap, where gap is the distance from sigma_min^2
@@ -59,8 +79,9 @@ then by the SVD), and of ieee34 at K=3 (99; 29), the objective agreed to
 4.5e-11 relative under one BLAS thread. Of the 5984 ieee34 K=3
 combinations, 3518 are solved in full for emptied rows and 91 for the
 certificate; the downdated ones agreed to 4.4e-10, the worst at
-(16, 17, 21), whose gap is 1.03e-7 lambda_max. The SVD stays the central
-model's solver.
+(16, 17, 21), whose gap is 1.03e-7 lambda_max. The stacks reproduce the
+one-candidate solve bit for bit, so these figures hold for them. The SVD
+stays the central model's solver.
 
 Still open: where sigma_min is degenerate (a rank-deficient H_u or a tied
 sigma_min), u and hence the objective depend on the basis the SVD picks.
@@ -77,7 +98,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -97,6 +118,9 @@ _EPS = np.finfo(float).eps
 _CERT_REL = 1e3 * _EPS
 _RITZ_STEPS = 12
 _RITZ_FREE = 4
+# Most candidates whose downdates are solved as one stack; bounds the memory
+# of an exhaustive chunk.
+_STACK = 16
 
 
 class BudgetError(RuntimeError):
@@ -137,60 +161,116 @@ class RoundBase:
     """G_r = H_r H_r^H, H_r the columns of H that none of `buses` senses, and
     one eigendecomposition (lam ascending, vecs) of its live block.
 
-    `objective` evaluates from it placements that add buses to `buses`, and
-    counts in `eigensolves` those it had to solve in full.
+    `downdate` solves, as stacks, the bottom eigenvectors of the placements
+    that add buses to `buses`; `objective` evaluates such placements from
+    them, and counts in `eigensolves` those it had to solve in full.
     """
 
     def __init__(self, system: SystemMatrix, buses: tuple[int, ...] = ()):
         keep = np.ones(system.H.shape[1], dtype=bool)
         keep[entry_columns(system, buses)] = False
         h_r = system.H[:, keep]
+        self.system = system
         self.buses = buses
         self.gram = h_r @ h_r.conj().T
         self.row_nonzeros = np.count_nonzero(h_r, axis=1)
         self.live = self.row_nonzeros > 0
         self.lam, self.vecs = np.linalg.eigh(self.gram[np.ix_(self.live, self.live)])
         self.eigensolves = 0
+        # added buses -> (their columns c of H, the rows live once they are
+        # sensed, the bottom eigenvector of G_r - c c^H on those rows or None)
+        self.solved: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
+
+    def downdate(self, additions) -> None:
+        """Fill `solved`, in place of what it held, for the placements that
+        add each tuple of `additions` to `buses`, their downdates solved in
+        stacks of at most _STACK. The vector is None where the downdate does
+        not apply or is not certified."""
+        H = self.system.H
+        unsensed = H.shape[1] - len(entry_columns(self.system, self.buses))
+        self.solved, todo = {}, []
+        for added in additions:
+            c = H[:, entry_columns(self.system, added)]
+            live = self.row_nonzeros > np.count_nonzero(c, axis=1)
+            self.solved[added] = (c, live, None)
+            # the downdate needs the round's live rows and a wide H_u (u at
+            # ascending index 0); otherwise G is solved in full
+            if (np.array_equal(live, self.live)
+                    and unsensed - c.shape[1] >= np.count_nonzero(live)):
+                todo.append(added)
+        for s in range(0, len(todo), _STACK):
+            stack = todo[s:s + _STACK]
+            ys = _downdated_vectors(self.lam, self.vecs,
+                                    [self.solved[a][0][self.live] for a in stack])
+            for added, y in zip(stack, ys):
+                c, live, _ = self.solved[added]
+                self.solved[added] = (c, live, None if y is None else self.vecs @ y)
 
 
-def _downdated_vector(lam: np.ndarray, vecs: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-    """Bottom eigenvector of vecs diag(lam) vecs^H - c c^H, or None where the
-    result cannot be certified; see "Round eigendecomposition" above."""
-    nz = np.flatnonzero(np.any(c != 0, axis=1))  # the added buses and their neighbours
-    w = vecs[nz].conj().T @ c[nz]
-    p = min(_RITZ_FREE, w.shape[0])
+def _downdated_vectors(lam: np.ndarray, vecs: np.ndarray,
+                       cs: list[np.ndarray]) -> list[np.ndarray | None]:
+    """Bottom eigenvector of vecs diag(lam) vecs^H - c c^H for each c of `cs`,
+    all of one shape, in the vecs basis, or None where the result cannot be
+    certified; see "Round eigendecomposition" above. Every step runs as one
+    stack over the candidates still iterating, and each candidate's bits are
+    those it gets solved alone."""
+    # nz: the rows c touches, those of the added buses and their neighbours
+    w = np.stack([vecs[nz].conj().T @ c[nz]
+                  for c in cs for nz in [np.flatnonzero(np.any(c != 0, axis=1))]])
+    p = min(_RITZ_FREE, w.shape[1])
     tol = _CERT_REL * lam[-1]
-
-    def count_below(x: float) -> int:
-        """Eigenvalues of diag(lam) - w w^H below x, by Haynsworth inertia:
-        #{lam_j < x} plus the eigenvalues of K(x) = w^H (lam - x)^-1 w above 1."""
-        k = w.conj().T @ (w / (lam - x)[:, None])
-        return int(np.count_nonzero(lam < x) + np.count_nonzero(np.linalg.eigvalsh(k) > 1))
+    floor = lam[0] - tol
 
     # Rayleigh-Ritz on span{e_0..e_{p-1}} + (lam - sigma)^-1 w[p:], repeated
     # with its own value as the next shift; sigma <= lam[0] - tol keeps every
-    # divisor at least tol even where lam[0] is tied more than p times
-    sigma = min(float(np.min(lam - np.sum(abs(w) ** 2, axis=1))), lam[0] - tol)
-    theta = math.inf
-    for _ in range(_RITZ_STEPS):
-        q, _ = np.linalg.qr(w[p:] / (lam[p:] - sigma)[:, None])
-        qh = q.conj().T
-        bw = np.concatenate([w[:p], qh @ w[p:]])
-        a = -(bw @ bw.conj().T)
-        a[:p, :p] += np.diag(lam[:p])
-        a[p:, p:] += qh @ (lam[p:, None] * q)
+    # divisor at least tol even where lam[0] is tied more than p times. A
+    # candidate leaves the stack at its last step with its Ritz vector y.
+    sigma = np.minimum(np.min(lam - np.sum(abs(w) ** 2, axis=2), axis=1), floor)
+    theta = np.full(len(w), np.inf)
+    y = np.empty(w.shape[:2], dtype=w.dtype)
+    run = np.arange(len(w))  # the candidates still iterating
+    for step in range(_RITZ_STEPS):
+        q = np.linalg.qr(w[run, p:] / (lam[p:] - sigma[run, None])[:, :, None]).Q
+        qh = q.conj().transpose(0, 2, 1)
+        bw = np.concatenate([w[run, :p], qh @ w[run, p:]], axis=1)
+        a = -(bw @ bw.conj().transpose(0, 2, 1))
+        a[:, :p, :p] += np.diag(lam[:p])
+        a[:, p:, p:] += qh @ (lam[p:, None] * q)
         ritz, s = np.linalg.eigh(a)
-        last, theta = theta, ritz[0]
-        if not np.isfinite(theta) or abs(theta - last) <= _EPS * lam[-1]:
+        last, theta[run] = theta[run], ritz[:, 0]
+        finite = np.isfinite(ritz[:, 0])
+        stop = (~finite | (abs(np.where(finite, ritz[:, 0], 0.0) - last) <= _EPS * lam[-1])
+                | (step == _RITZ_STEPS - 1))
+        y[run[stop], :p] = s[stop, :p, 0]
+        y[run[stop], p:] = (q[stop] @ s[stop, p:, :1])[:, :, 0]
+        sigma[run] = np.minimum(ritz[:, 0], floor)
+        run = run[~stop]
+        if not len(run):
             break
-        sigma = min(theta, lam[0] - tol)
-    y = np.concatenate([s[:p, 0], q @ s[p:, 0]])
-    resid = lam * y - w @ (w.conj().T @ y) - theta * y
-    if (not (np.isfinite(theta) and np.linalg.norm(resid) <= tol)
-            or count_below(theta - tol) != 0
-            or count_below(theta + _GAP_REL * lam[-1]) != 1):
-        return None
-    return vecs @ y
+
+    ok = np.flatnonzero(np.isfinite(theta))
+    wo, yo = w[ok], y[ok]
+    resid = (lam * yo - (wo @ (wo.conj().transpose(0, 2, 1) @ yo[:, :, None]))[:, :, 0]
+             - theta[ok, None] * yo)
+    norm = np.sqrt(np.vecdot(resid.real, resid.real) + np.vecdot(resid.imag, resid.imag))
+    ok = ok[norm <= tol]
+
+    # Haynsworth inertia: the eigenvalues of diag(lam) - w w^H below x are
+    # #{lam_j < x} plus the eigenvalues of K(x) = w^H (lam - x)^-1 w above 1;
+    # certified where none lies below theta - tol and one below
+    # theta + _GAP_REL lambda_max
+    def count_below(x: np.ndarray) -> np.ndarray:
+        wo = w[ok]
+        k = wo.conj().transpose(0, 2, 1) @ (wo / (lam - x[:, None])[:, :, None])
+        return np.count_nonzero(lam < x[:, None], axis=1) + np.count_nonzero(
+            np.linalg.eigvalsh(k) > 1, axis=1)
+
+    ok = ok[(count_below(theta[ok] - tol) == 0)
+            & (count_below(theta[ok] + _GAP_REL * lam[-1]) == 1)]
+    out: list[np.ndarray | None] = [None] * len(w)
+    for i in ok:
+        out[i] = y[i]
+    return out
 
 
 def objective(system: SystemMatrix, placement: Placement,
@@ -199,7 +279,9 @@ def objective(system: SystemMatrix, placement: Placement,
 
     Without `base`, G = H_u H_u^H is formed from `partition`. The solvers pass
     a `RoundBase` of some of the placement's buses instead; the columns c of
-    the placement's other buses are a downdate of it, G = G_r - c c^H.
+    the placement's other buses are a downdate of it, G = G_r - c c^H, read
+    from what the base's last `downdate` solved; a placement it was not
+    given is solved as a stack of one.
     """
     if placement.k >= system.bus_count:
         return 0.0
@@ -212,15 +294,15 @@ def objective(system: SystemMatrix, placement: Placement,
         live = np.any(part.H_u != 0, axis=1)
         gram = part.H_u @ part.H_u.conj().T
     else:
+        missing = set(base.buses) - set(placement.sensor_buses)
+        if missing:
+            raise ValueError(f"placement {placement.sensor_buses} lacks the round's "
+                             f"buses {tuple(sorted(missing))}")
         added = tuple(b for b in placement.sensor_buses if b not in base.buses)
-        c = H[:, entry_columns(system, added)]
+        if added not in base.solved:
+            base.downdate([added])
+        c, live, u = base.solved[added]
         sensed[entry_columns(system, placement.sensor_buses)] = True
-        live = base.row_nonzeros > np.count_nonzero(c, axis=1)
-        # the downdate needs the round's live rows and a wide H_u (u at
-        # ascending index 0); otherwise G is solved in full
-        if (np.array_equal(live, base.live)
-                and H.shape[1] - np.count_nonzero(sensed) >= np.count_nonzero(live)):
-            u = _downdated_vector(base.lam, base.vecs, c[live])
         if u is None:
             base.eigensolves += 1
             gram = base.gram - c @ c.conj().T
@@ -253,6 +335,7 @@ def greedy_place(system: SystemMatrix, k: int,
     evals = eigensolves = 0
     for _ in range(k):
         base = RoundBase(system, chosen)
+        base.downdate([(b,) for b in cands if b not in chosen])
         best_bus, best_cost = None, math.inf
         for b in cands:
             if b in chosen:
@@ -263,6 +346,7 @@ def greedy_place(system: SystemMatrix, k: int,
                 best_bus, best_cost = b, cost
         chosen += (best_bus,)
         eigensolves += base.eigensolves
+        del base  # its solved columns go before the next base is built
     final = Placement(chosen)
     return PlacementResult(placement=final, objective=objective(system, final),
                            solver="greedy", elapsed=time.perf_counter() - t0,
@@ -280,11 +364,14 @@ def exhaustive_place(system: SystemMatrix, k: int,
     base = RoundBase(system)
     best, best_cost = None, math.inf
     evals = 0
-    for combo in combinations(cands, k):
-        cost = objective(system, Placement(combo), base)
-        evals += 1
-        if best is None or cost < best_cost - _TIE_REL * max(abs(cost), abs(best_cost)):
-            best, best_cost = combo, cost
+    combos = combinations(cands, k)
+    while chunk := list(islice(combos, _STACK)):
+        base.downdate(chunk)
+        for combo in chunk:
+            cost = objective(system, Placement(combo), base)
+            evals += 1
+            if best is None or cost < best_cost - _TIE_REL * max(abs(cost), abs(best_cost)):
+                best, best_cost = combo, cost
     final = Placement(best)
     return PlacementResult(placement=final, objective=objective(system, final),
                            solver="exhaustive", elapsed=time.perf_counter() - t0,

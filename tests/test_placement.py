@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from gridwatch import placement
 from gridwatch.model import Placement, build_system, partition, reduce_laterals
-from gridwatch.placement import (BudgetError, RoundBase, _downdated_vector,
+from gridwatch.placement import (BudgetError, RoundBase, _downdated_vectors,
                                  exhaustive_place, greedy_place, objective,
                                  random_place, three_phase_buses)
 
@@ -90,23 +91,33 @@ def test_downdated_vector_synthetic_spectra(mult, touch):
     # diag(lam) - c c^H with lam's bottom eigenvalue tied `mult` times, past
     # the Ritz step's free coordinates, and c touching or missing that block.
     # A certified vector is eigh's, up to phase; the gap decides certification.
+    # Three more downdates of the same lam join c in one stack, and each gets
+    # the vector, bit for bit, or the refusal it gets solved alone.
     rng = np.random.default_rng([mult, touch])
+    more = np.random.default_rng([mult, touch, 1])
     n, certified = 40, 0
     for m, scale, _ in itertools.product((6, 18), (0.3, 0.01), range(20)):
         lam = np.concatenate([np.ones(mult), np.sort(rng.uniform(1.5, 10.0, n - mult))])
-        c = scale * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+        cs = [scale * (g.normal(size=(n, m)) + 1j * g.normal(size=(n, m)))
+              for g in (rng, more, more, more)]
         if not touch:
-            c[:mult] = 0
+            for c in cs:
+                c[:mult] = 0
         with np.errstate(all="raise"):
-            u = _downdated_vector(lam, np.eye(n), c)
-        ev, vecs = np.linalg.eigh(np.diag(lam) - c @ c.conj().T)
-        if ev[1] - ev[0] <= 1e-7 * lam[-1]:
-            assert u is None
-        elif u is not None:
-            assert np.all(np.isfinite(u))
-            phase = np.vdot(u, vecs[:, 0]) / abs(np.vdot(u, vecs[:, 0]))
-            assert np.linalg.norm(phase * u - vecs[:, 0]) < 1e-10
-            certified += 1
+            stacked = _downdated_vectors(lam, np.eye(n), cs)
+            alone = [_downdated_vectors(lam, np.eye(n), [c])[0] for c in cs]
+        for c, u, v in zip(cs, stacked, alone):
+            assert (u is None) == (v is None)
+            if u is not None:
+                assert np.array_equal(u, v)
+            ev, vecs = np.linalg.eigh(np.diag(lam) - c @ c.conj().T)
+            if ev[1] - ev[0] <= 1e-7 * lam[-1]:
+                assert u is None
+            elif u is not None:
+                assert np.all(np.isfinite(u))
+                phase = np.vdot(u, vecs[:, 0]) / abs(np.vdot(u, vecs[:, 0]))
+                assert np.linalg.norm(phase * u - vecs[:, 0]) < 1e-10
+                certified += 1
     assert certified > 0
 
 
@@ -205,6 +216,56 @@ def test_round_base_objective_matches_oracle(ieee34_system, ieee123, case, feede
         assert np.all(abs(base.lam[:3] - 1) < 1e-12) and base.lam[3] - 1 > 1e-5
     assert objective(sysm, p, base) == pytest.approx(dense_eig_oracle(sysm, p), rel=1e-10)
     assert base.eigensolves == (0 if case in ("triple", "downdate") else 1)
+
+
+def test_round_base_refuses_a_placement_without_its_buses(ieee34_system):
+    # the round's buses are the placement's sensed columns the base leaves
+    # out of G_r; a placement that lacks one would be read from a wrong G
+    base = RoundBase(ieee34_system, (7,))
+    with pytest.raises(ValueError, match=r"lacks the round's buses \(7,\)"):
+        objective(ieee34_system, Placement((19, 31)), base)
+    assert objective(ieee34_system, Placement((7, 19, 31)), base) == pytest.approx(
+        objective(ieee34_system, Placement((7, 19, 31))), rel=1e-10)
+
+
+def _solve_recorded(solve, system, k):
+    """`solve(system, k)` and the objective of every placement it evaluated."""
+    seen = []
+    inner = placement.objective
+
+    def record(system, p, base=None):
+        seen.append((p.sensor_buses, inner(system, p, base)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(placement, "objective", record)
+        res = solve(system, k)
+    return (res.placement, res.objective, res.evaluations, res.eigensolves), seen
+
+
+@pytest.fixture(scope="module")
+def stack_cut_cases(ieee34_system, ieee123):
+    return {"greedy ieee34 K=3": (greedy_place, ieee34_system, 3),
+            "exhaustive ieee34 K=3": (exhaustive_place, ieee34_system, 3),
+            "greedy ieee123-reduced K=4": (greedy_place,
+                                           build_system(reduce_laterals(ieee123)), 4)}
+
+
+@pytest.fixture(scope="module")
+def stack_cut_reference(stack_cut_cases):
+    return {name: _solve_recorded(*case) for name, case in stack_cut_cases.items()}
+
+
+@pytest.mark.parametrize("cut", [1, 7])
+def test_stack_cut_invariance(monkeypatch, stack_cut_cases, stack_cut_reference, cut):
+    # Like the engines' block cuts: where the candidates of a round or an
+    # exhaustive chunk are cut into stacks changes no bit of any objective,
+    # nor the placement, its objective, evaluations or eigensolves. The
+    # reference runs at the default cut.
+    assert placement._STACK not in (1, 7)
+    monkeypatch.setattr(placement, "_STACK", cut)
+    for name, case in stack_cut_cases.items():
+        assert _solve_recorded(*case) == stack_cut_reference[name], name
 
 
 def test_objective_recompute_invariant(ieee34_system):

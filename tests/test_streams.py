@@ -436,6 +436,23 @@ def test_offline_run_raises_what_a_child_or_the_central_stage_raises(monkeypatch
     assert multiprocessing.active_children() == []
 
 
+def test_offline_run_builds_the_central_model_before_any_child(monkeypatch):
+    """The central model's SVD runs while no local engine's child is alive,
+    so the BLAS threads it wakes do not spin beside the children."""
+    from gridwatch import pipeline
+    feeder, placement, streams = _slgf()
+    alive = []
+
+    def build(part):
+        alive.append(multiprocessing.active_children())
+        return build_central_model(part)
+
+    monkeypatch.setattr(pipeline, "build_central_model", build)
+    res = run_offline(feeder, placement, {b: s[:50] for b, s in streams.items()})
+    assert alive == [[]]
+    assert sorted(res.local_reports) == list(placement.sensor_buses)
+
+
 def test_offline_run_prints_what_was_buffered_once():
     """Text on a buffered stdout before run_offline appears once: a child
     exiting flushes its copy of the buffer, which must be empty."""
