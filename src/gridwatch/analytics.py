@@ -10,8 +10,13 @@ quantity: a threshold rule flags a whole block with numpy comparisons, and
 a change rule runs the CUSUM recursion over each column, the one loop per
 sample besides the frequency tracker's smoothing. A segmenter per column
 groups the violations into events from their positions, and each event
-becomes a labeled anomaly report. A column with no violation and no open
-event costs its segmenter nothing.
+becomes a labeled anomaly report whose severity is its peak: the value at
+the first largest key among the event's samples, where a threshold rule
+keys its non-violating samples NaN so that only violations count. A
+column with no violation and no open event costs its segmenter nothing.
+Every rule constant (bands, CUSUM parameters, T1 and T2, the trend fit's
+window and bounds) is read from the engine's `Config`; no helper restates
+a default.
 
 Between blocks the engine carries a small, fixed state: the last M rows of
 each line's window, the previous positive-sequence value, each channel's
@@ -243,35 +248,23 @@ def check_overcurrent(imag, rating):
     return (rating > 0) & (imag > rating)
 
 
-def classify_voltage(vmag_series, t0_s: float = Config.t0_s, ts_s: float = Config.ts_s,
-                     normal_low: float = Config.v_normal_low,
-                     normal_high: float = Config.v_normal_high,
-                     interruption: float = Config.v_interruption,
-                     sustained_s: float = Config.v_sustained_s,
-                     tau_samples: int | None = None):
-    """Label a voltage-magnitude excursion from its samples and duration.
-
-    Returns (label, tau_samples); label is None when the extremal magnitude
-    never leaves the normal band. Sub-cycle excursions are labeled
-    "transient" (they belong to the steady-state-validity rule). The duration
-    defaults to the series length; segmented events pass their span instead.
+def classify_voltage(vext: float, tau: int, cfg: Config) -> str | None:
+    """Label a voltage-magnitude excursion from its extremal magnitude and
+    its duration in samples; None when the magnitude is inside the normal
+    band. Sub-cycle excursions are labeled "transient" (they belong to the
+    steady-state-validity rule).
     """
-    series = np.asarray(vmag_series, dtype=float)
-    tau = len(series) if tau_samples is None else tau_samples
-    if tau == 0 or len(series) == 0:
-        return None, 0
-    tau_s = tau * ts_s
-    vext = float(series[np.argmax(np.abs(series - 1.0))])
-    if normal_low < vext < normal_high:
-        return None, tau
-    if tau_s < t0_s / 2.0:
-        return "transient", tau
-    long = tau_s > sustained_s
-    if vext < interruption:
-        return ("sustained_interruption" if long else "interruption"), tau
-    if vext <= normal_low:
-        return ("undervoltage" if long else "sag"), tau
-    return ("overvoltage" if long else "swell"), tau
+    if cfg.v_normal_low < vext < cfg.v_normal_high:
+        return None
+    tau_s = tau * cfg.ts_s
+    if tau_s < cfg.t0_s / 2.0:
+        return "transient"
+    long = tau_s > cfg.v_sustained_s
+    if vext < cfg.v_interruption:
+        return "sustained_interruption" if long else "interruption"
+    if vext <= cfg.v_normal_low:
+        return "undervoltage" if long else "sag"
+    return "overvoltage" if long else "swell"
 
 
 _ALPHA = np.exp(2j * np.pi / 3.0)
@@ -303,7 +296,7 @@ class FrequencyTracker:
     estimate as it is.
     """
 
-    def __init__(self, lambda_forget: float = Config.lambda_forget):
+    def __init__(self, lambda_forget: float):
         self.lam = lambda_forget
         self.beta_hat = 0.0
         self.quality_drops = 0
@@ -397,18 +390,16 @@ def qss_residuals(R: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DetectorState:
-    """Two-sided CUSUM over standardized innovations with adaptive baseline.
+    """Two-sided CUSUM over standardized innovations with adaptive baseline:
+    the recursion's state, and the `Config` whose nu, h, lambda_forget,
+    warmup and var_floor it runs with.
 
     The mean/variance baseline is a Welford estimate over the warmup window,
     then an exponential window with factor lambda_forget. A declared change
     resets both accumulators, re-seeds the mean at the declaring sample and
     re-enters warmup before re-arming (multiple change points).
     """
-    nu: float = Config.nu
-    h: float = Config.h
-    lambda_forget: float = Config.lambda_forget
-    warmup: int = Config.warmup
-    var_floor: float = Config.var_floor
+    cfg: Config = field(default_factory=Config)
     mean_hat: float = 0.0
     var_hat: float = 0.0
     g_plus: float = 0.0
@@ -417,11 +408,6 @@ class DetectorState:
     _n: int = field(default=0, repr=False)
     _w_mean: float = field(default=0.0, repr=False)
     _w_m2: float = field(default=0.0, repr=False)
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "DetectorState":
-        return cls(nu=cfg.nu, h=cfg.h, lambda_forget=cfg.lambda_forget,
-                   warmup=cfg.warmup, var_floor=cfg.var_floor)
 
 
 def cusum_run(state: DetectorState, xs) -> tuple[list[int], list[float]]:
@@ -433,7 +419,8 @@ def cusum_run(state: DetectorState, xs) -> tuple[list[int], list[float]]:
     squares with the C library's `pow`, which can differ from `d * d` in
     the last bit.
     """
-    nu, h, lam, warmup, floor = state.nu, state.h, state.lambda_forget, state.warmup, state.var_floor
+    cfg = state.cfg
+    nu, h, lam, warmup, floor = cfg.nu, cfg.h, cfg.lambda_forget, cfg.warmup, cfg.var_floor
     mean, var, gp, gm, armed = state.mean_hat, state.var_hat, state.g_plus, state.g_minus, state.armed
     n, w_mean, w_m2 = state._n, state._w_mean, state._w_m2
     rest = 1.0 - lam
@@ -498,14 +485,14 @@ def _variance(a: np.ndarray) -> float:
     return float(np.add.reduce(d * d) / len(a))
 
 
-def classify_trend(signal, change_index: int, window: int,
-                   slope_min: float = Config.slope_min,
-                   variance_ratio: float = Config.variance_ratio) -> str:
+def classify_trend(signal, change_index: int, cfg: Config) -> str:
     """Label the excursion around a change as surge, drop or oscillation.
 
-    Least-squares slope over the post-change window decides the direction;
-    a flat slope with a post/pre variance blow-up is an oscillation.
+    Least-squares slope over the trend_window samples from the change
+    decides the direction; a flat slope with a post/pre variance blow-up
+    (pre: the trend_window samples before the change) is an oscillation.
     """
+    window, slope_min = cfg.trend_window, cfg.slope_min
     sig = np.asarray(signal, dtype=float)
     post = sig[change_index:change_index + window]
     if len(post) < 3:
@@ -518,7 +505,7 @@ def classify_trend(signal, change_index: int, window: int,
     pre = sig[max(0, change_index - window):change_index]
     pre_var = _variance(pre) if len(pre) >= 2 else 0.0
     post_var = _variance(post)
-    if post_var > variance_ratio * max(pre_var, 1e-300):
+    if post_var > cfg.variance_ratio * max(pre_var, 1e-300):
         return "oscillation"
     return "surge" if slope >= 0 else "drop"
 
@@ -533,22 +520,20 @@ class Segment:
 
 
 def _running_peak(best: float, peak: float, keys: np.ndarray, values: np.ndarray,
-                  at) -> tuple[float, float]:
-    """The running (key, value) peak after the samples `at` (one position,
-    a slice or positions), taken in order: only a larger key replaces it,
-    so the first of equal keys stays, and a NaN key never wins."""
-    if type(at) is slice and at.stop - at.start == 1:
-        at = at.start
-    if type(at) is int:
-        key = float(keys[at])
-        return (key, float(values[at])) if key > best else (best, peak)
-    cand = keys[at]
+                  start: int, stop: int) -> tuple[float, float]:
+    """The running (key, value) peak after the samples start .. stop - 1,
+    taken in order: only a larger key replaces it, so the first of equal
+    keys stays, and a NaN key never wins."""
+    if stop - start == 1:
+        key = float(keys[start])
+        return (key, float(values[start])) if key > best else (best, peak)
+    cand = keys[start:stop]
     if not len(cand):
         return best, peak
     top = np.fmax.reduce(cand)   # NaN only when every key is
     if top > best:
         i = int(np.argmax(cand == top))
-        return float(cand[i]), float(values[at][i])
+        return float(cand[i]), float(values[start + i])
     return best, peak
 
 
@@ -571,17 +556,17 @@ class EventSegmenter:
     emission is produced at that violation and the event stays open.
 
     Each sample carries a key and a value. The event's peak is the value
-    of the first sample with the largest key among the event's violations,
-    or with `span` among all its samples up to and including the one that
-    closes it. A NaN key never wins; a NaN key on the opening sample keeps
-    the peak there. The state is an open flag, three integers, the peak
-    and its key, whatever the event's length.
+    of the first sample with the largest key among all its samples, from
+    the one that opens it up to and including the one that closes it. A
+    NaN key never wins, so a caller whose peak must come from the
+    violations alone passes NaN keys at the other samples; a NaN key on
+    the opening sample keeps the peak there. The state is an open flag,
+    three integers, the peak and its key, whatever the event's length.
     """
 
-    def __init__(self, t1: int, t2: int, span: bool = False):
+    def __init__(self, t1: int, t2: int):
         self.t1 = t1
         self.t2 = t2
-        self.span = span
         self._open = False
         self._start = 0
         self._last = 0
@@ -611,7 +596,7 @@ class EventSegmenter:
         if not (len(viol) or self._open and len(ks)):
             return []
         values = keys if values is None else values
-        t1, persist, span = self.t1, self.t2 + 1, self.span
+        t1, persist = self.t1, self.t2 + 1
         is_open, start, last, count = self._open, self._start, self._last, self._count
         best, peak = self._key, self._peak
         at = np.asarray(viol)
@@ -628,39 +613,30 @@ class EventSegmenter:
             p = pos[a]
             if is_open and (a or (p > first and int(ks[p - 1]) - last >= t1)):
                 c = _first_reaching(ks, last + t1, first)
-                if span:
-                    best, peak = _running_peak(best, peak, keys, values, slice(first, c + 1))
+                best, peak = _running_peak(best, peak, keys, values, first, c + 1)
                 out.append((c, Segment(start, last, last, peak)))
                 is_open = False
-            lo = a   # the first violation that may still raise the peak
             if not is_open:
                 is_open, start, count = True, int(ks[p]), 0
                 best, peak = float(keys[p]), float(values[p])
                 if opens is not None:
                     opens.append(p)
-                lo, first = a + 1, p + 1
+                first = p + 1
             # the peak up to the persistent emission at violation q, if it
             # falls in this run, then up to the run's last violation
             q = a + persist - count - 1
             for hi in ([q + 1, b] if a <= q < b - 1 else [b]):
-                if span:
-                    stop = pos[hi - 1] + 1
-                    if stop > first:
-                        best, peak = _running_peak(best, peak, keys, values, slice(first, stop))
-                    first = stop
-                elif hi > lo:
-                    best, peak = _running_peak(best, peak, keys, values,
-                                               pos[lo] if hi - lo == 1 else at[lo:hi])
-                lo = hi
+                stop = pos[hi - 1] + 1
+                best, peak = _running_peak(best, peak, keys, values, first, stop)
+                first = stop
                 if hi == q + 1:
                     out.append((pos[q], Segment(start, None, int(ks[pos[q]]), peak)))
             count += b - a
-            last, first = int(ks[pos[b - 1]]), pos[b - 1] + 1
+            last = int(ks[pos[b - 1]])
         n = len(ks)
         if is_open and first < n:   # samples after the last violation
             c = _first_reaching(ks, last + t1, first)
-            if span:
-                best, peak = _running_peak(best, peak, keys, values, slice(first, min(c + 1, n)))
+            best, peak = _running_peak(best, peak, keys, values, first, min(c + 1, n))
             if c < n:
                 out.append((c, Segment(start, last, last, peak)))
                 is_open = False
@@ -677,8 +653,7 @@ class EventSegmenter:
 
 def _trend_label(pre: list[float], post: list[float], cfg: Config) -> str:
     try:
-        return classify_trend(np.array(pre + post, dtype=float), len(pre), cfg.trend_window,
-                              cfg.slope_min, cfg.variance_ratio)
+        return classify_trend(np.array(pre + post, dtype=float), len(pre), cfg)
     except ValueError:
         return "surge" if (post and post[-1] >= (pre or [0])[-1]) else "drop"
 
@@ -686,7 +661,7 @@ def _trend_label(pre: list[float], post: list[float], cfg: Config) -> str:
 class _TrendLabels:
     """Trend labels of one change channel's events.
 
-    An event's label comes from the trend_window + 1 samples before its
+    An event's label comes from the trend_window samples before its
     first change point and up to trend_window samples from it; a record
     emitted before that window fills is labeled from the samples so far,
     and that label stays. Samples are numbered from the channel's first.
@@ -694,7 +669,7 @@ class _TrendLabels:
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
-        self._hist: list[float] = []   # the latest samples, at least trend_window + 1
+        self._hist: list[float] = []   # the latest samples, at least trend_window
         self._base = 0                 # number of the sample _hist[0]
         self._pending: tuple[list[float], int] | None = None  # (pre samples, onset number)
         self._label: str | None = None
@@ -715,10 +690,10 @@ class _TrendLabels:
                 if emit:
                     labels.append(self.current(a))
                 else:
-                    pre = self._hist[max(a - (w + 1), self._base) - self._base:a - self._base]
+                    pre = self._hist[max(a - w, self._base) - self._base:a - self._base]
                     self._pending, self._label = (pre, a), None
             self._finish_filled(self._base + len(self._hist))
-        drop = len(self._hist) - (w + 1)
+        drop = len(self._hist) - w
         if drop > 0:
             del self._hist[:drop]
             self._base += drop
@@ -753,7 +728,6 @@ class _Rule:
     (n,) when the width is one. It returns (position, column, report)
     triples.
     """
-    span = False
 
     def __init__(self, rule: str, bus: int, line: str | None, cfg: Config, width: int):
         self.rule = rule
@@ -761,7 +735,7 @@ class _Rule:
         self.line = line
         self.cfg = cfg
         self.width = width
-        self.segs = [EventSegmenter(cfg.t1, cfg.t2, span=self.span) for _ in range(width)]
+        self.segs = [EventSegmenter(cfg.t1, cfg.t2) for _ in range(width)]
 
     def flush(self) -> list[AnomalyReport]:
         return [self._report(c, s) for c, seg in enumerate(self.segs) for s in seg.flush()]
@@ -770,7 +744,8 @@ class _Rule:
 class _Threshold(_Rule):
     """A threshold rule on each phase. A subclass says which samples
     violate it, by which key the event's severity tracks the values, and
-    builds the report."""
+    builds the report. The other samples get NaN keys, so an event's peak
+    is the first largest key among its violations."""
 
     def scan(self, ks: np.ndarray, X: np.ndarray) -> list[tuple[int, int, AnomalyReport]]:
         flags = self._flags(X)
@@ -780,7 +755,7 @@ class _Threshold(_Rule):
         for c, seg in enumerate(self.segs):
             if hit[c] or seg.is_open:
                 if keys is None:
-                    keys = self._keys(X)
+                    keys = np.where(flags, self._keys(X), np.nan)
                 viol = flags[:, c].nonzero()[0] if hit[c] else ()
                 out += [(j, c, self._report(c, s))
                         for j, s in seg.run(ks, viol, keys[:, c], X[:, c])]
@@ -801,11 +776,7 @@ class _Voltage(_Threshold):
         return np.abs(X - 1.0)
 
     def _report(self, c: int, s: Segment) -> AnomalyReport:
-        cfg = self.cfg
-        label, _ = classify_voltage([s.peak], cfg.t0_s, cfg.ts_s,
-                                    cfg.v_normal_low, cfg.v_normal_high,
-                                    cfg.v_interruption, cfg.v_sustained_s,
-                                    tau_samples=s.last_k - s.start_k + 1)
+        label = classify_voltage(s.peak, s.last_k - s.start_k + 1, self.cfg)
         return AnomalyReport(rule=VOLTAGE_MAG, label=label, bus=self.bus, line=None,
                              start_k=s.start_k, end_k=s.end_k, severity=s.peak)
 
@@ -836,12 +807,11 @@ class _Change(_Rule):
     signal around their first change point; without, "transient", as the
     steady-state-validity rule wants.
     """
-    span = True
 
     def __init__(self, rule: str, bus: int, line: str | None, cfg: Config, width: int,
                  trend: bool):
         super().__init__(rule, bus, line, cfg, width)
-        self.dets = [DetectorState.from_config(cfg) for _ in range(width)]
+        self.dets = [DetectorState(cfg) for _ in range(width)]
         self.trends = [_TrendLabels(cfg) if trend else None for _ in range(width)]
 
     def scan(self, ks: np.ndarray, X: np.ndarray) -> list[tuple[int, int, AnomalyReport]]:

@@ -326,8 +326,8 @@ class CentralChangeTracker:
         self.model = model
         self.cfg = cfg = cfg or Config()
         self.sink = sink
-        self.det = DetectorState.from_config(cfg)
-        self.seg = EventSegmenter(cfg.t1, cfg.t2, span=True)
+        self.det = DetectorState(cfg)
+        self.seg = EventSegmenter(cfg.t1, cfg.t2)
         self.gaps = 0      # samples with a sensor missing
         self.skipped = 0   # complete samples whose d_a is zero or not finite
         self._change_ks: list[int] = []

@@ -47,7 +47,7 @@ class Config:
     port: int = 7435
 
     def __post_init__(self):
-        checks = [
+        checks = [   # each is False for NaN, so a NaN is rejected too
             (0.0 < self.lambda_forget < 1.0, "lambda_forget must be in (0,1)"),
             (self.nu >= 0.0, "nu must be >= 0"),
             (self.h > 0.0, "h must be > 0"),
@@ -58,6 +58,9 @@ class Config:
             (0.0 < self.v_interruption < self.v_normal_low < self.v_normal_high,
              "voltage bounds out of order"),
             (self.ts_s > 0 and self.t0_s > 0, "periods must be > 0"),
+            (self.v_sustained_s > 0.0, "v_sustained_s must be > 0"),
+            (self.slope_min >= 0.0, "slope_min must be >= 0"),
+            (self.variance_ratio > 0.0, "variance_ratio must be > 0"),
             (self.trend_window >= 3, "trend_window must be >= 3"),
             (0 < self.port < 65536, "port out of range"),
         ]

@@ -193,7 +193,7 @@ def test_criterion_8_cusum_calibration():
     for t in range(100):
         r = np.random.default_rng(1000 + t)
         det = DetectorState()
-        cusum_run(det, r.normal(0.0, 1.0, det.warmup).tolist())
+        cusum_run(det, r.normal(0.0, 1.0, det.cfg.warmup).tolist())
         hits, _ = cusum_run(det, r.normal(5.0, 1.0, 50).tolist())
         delays.append(hits[0] + 1 if hits else math.inf)
     mean_delay = float(np.mean(delays))
@@ -224,8 +224,7 @@ def test_criterion_9_voltage_table_conformance():
     ]
     failures = []
     for mag, tau, expect in cases:
-        got, _ = classify_voltage(np.full(min(tau, 4), mag), t0, ts,
-                                  tau_samples=tau)
+        got = classify_voltage(mag, tau, Config(t0_s=t0, ts_s=ts))
         if got != expect:
             failures.append((mag, tau, expect, got))
     ok = not failures

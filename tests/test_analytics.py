@@ -1,4 +1,3 @@
-import inspect
 import math
 import struct
 import tracemalloc
@@ -11,8 +10,8 @@ from hypothesis import strategies as st
 from gridwatch import central
 from gridwatch.analytics import (OVERCURRENT, QSS_VALIDITY, VOLTAGE_MAG, DetectorState,
                                  EventSegmenter, FrequencyTracker, LocalEngine,
-                                 PhasorFrame, Segment, check_overcurrent, classify_trend,
-                                 classify_voltage, complex_power, cusum_run,
+                                 PhasorFrame, Segment, StreamColumns, check_overcurrent,
+                                 classify_trend, classify_voltage, complex_power, cusum_run,
                                  positive_sequence, qss_residuals, window_correlations)
 from gridwatch.analytics import _slope, _variance
 from gridwatch.config import Config
@@ -48,23 +47,19 @@ def test_complex_power_random_matches_oracle():
 # ---------------------------------------------------------------- voltage rule
 
 def test_classify_sag_one_second():
-    label, tau = classify_voltage(np.full(120, 0.5))
-    assert label == "sag" and tau == 120
+    assert classify_voltage(0.5, 120, Config()) == "sag"
 
 
 def test_classify_sustained_interruption():
-    label, _ = classify_voltage(np.full(120 * 120, 0.05))
-    assert label == "sustained_interruption"
+    assert classify_voltage(0.05, 120 * 120, Config()) == "sustained_interruption"
 
 
 def test_classify_nominal_none():
-    label, _ = classify_voltage(np.full(1000, 1.0))
-    assert label is None
+    assert classify_voltage(1.0, 1000, Config()) is None
 
 
 def test_classify_out_of_table_swell():
-    label, _ = classify_voltage(np.full(120, 2.5))
-    assert label == "swell"
+    assert classify_voltage(2.5, 120, Config()) == "swell"
 
 
 # ---------------------------------------------------------------- overcurrent
@@ -94,7 +89,7 @@ def balanced(mag=1.0):
 
 def drift(v_frames) -> float:
     """beta_hat of a fresh tracker after a series of voltage frames."""
-    tr = FrequencyTracker()
+    tr = FrequencyTracker(Config().lambda_forget)
     tr.track(positive_sequence(np.array(v_frames)).tolist())
     return tr.beta_hat
 
@@ -127,7 +122,7 @@ def test_frequency_step_response_half_life():
 
 
 def test_frequency_zero_sequence_holds_estimate():
-    tr = FrequencyTracker()
+    tr = FrequencyTracker(Config().lambda_forget)
     beta = 0.01
     vs = [balanced()]
     for _ in range(5):
@@ -249,23 +244,10 @@ def test_qss_residual_zero_matrix():
 # ---------------------------------------------------------------- cusum
 
 def test_rule_defaults_are_the_config_defaults():
-    """The detector and the rules default to `Config`'s values, and the
-    detector to criterion 8's pinned nu = 0.5 and h = 5."""
-    cfg = Config()
-    assert DetectorState.from_config(cfg) == DetectorState()
-    assert (DetectorState().nu, DetectorState().h) == (0.5, 5.0)
-    assert FrequencyTracker().lam == cfg.lambda_forget
-
-    def defaults(fn):
-        return {n: p.default for n, p in inspect.signature(fn).parameters.items()
-                if p.default is not inspect.Parameter.empty and p.default is not None}
-
-    assert defaults(classify_voltage) == {
-        "t0_s": cfg.t0_s, "ts_s": cfg.ts_s, "normal_low": cfg.v_normal_low,
-        "normal_high": cfg.v_normal_high, "interruption": cfg.v_interruption,
-        "sustained_s": cfg.v_sustained_s}
-    assert defaults(classify_trend) == {"slope_min": cfg.slope_min,
-                                        "variance_ratio": cfg.variance_ratio}
+    """The detector defaults to `Config`'s values, and those to criterion
+    8's pinned nu = 0.5 and h = 5."""
+    assert DetectorState().cfg == Config()
+    assert (DetectorState().cfg.nu, DetectorState().cfg.h) == (0.5, 5.0)
 
 
 def test_cusum_accumulators_never_negative():
@@ -282,13 +264,13 @@ def test_cusum_constant_input_never_alarms():
     st_ = DetectorState()
     alarms, _ = cusum_run(st_, [3.25] * 10000)
     assert not alarms
-    assert st_.var_hat <= st_.var_floor
+    assert st_.var_hat <= st_.cfg.var_floor
 
 
 def test_cusum_detects_a_step_quickly():
     st_ = DetectorState()
     rng = np.random.default_rng(2)
-    cusum_run(st_, rng.normal(size=st_.warmup).tolist())
+    cusum_run(st_, rng.normal(size=st_.cfg.warmup).tolist())
     assert st_.armed
     hits, _ = cusum_run(st_, rng.normal(loc=5.0, size=10).tolist())
     assert hits
@@ -297,7 +279,7 @@ def test_cusum_detects_a_step_quickly():
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
 @settings(max_examples=50, deadline=None)
 def test_cusum_invariants_hypothesis(xs):
-    st_ = DetectorState(warmup=5)
+    st_ = DetectorState(Config(warmup=5))
     for x in xs:
         alarms, _ = cusum_run(st_, (x,))
         assert st_.g_plus >= 0.0 and st_.g_minus >= 0.0
@@ -309,24 +291,24 @@ def test_cusum_invariants_hypothesis(xs):
 
 def test_trend_ramp_up_is_surge():
     sig = np.concatenate([np.zeros(30), np.linspace(0, 1, 30)])
-    assert classify_trend(sig, 30, 24) == "surge"
+    assert classify_trend(sig, 30, Config(trend_window=24)) == "surge"
 
 
 def test_trend_step_down_is_drop():
     sig = np.concatenate([np.ones(30), np.linspace(1, 0, 30)])
-    assert classify_trend(sig, 30, 24) == "drop"
+    assert classify_trend(sig, 30, Config(trend_window=24)) == "drop"
 
 
 def test_trend_sinusoid_onset_is_oscillation():
     k = np.arange(48)
     post = 0.5 * np.sin(2 * np.pi * k / 6.0)
     sig = np.concatenate([np.zeros(48), post])
-    assert classify_trend(sig, 48, 48, slope_min=0.05) == "oscillation"
+    assert classify_trend(sig, 48, Config(trend_window=48, slope_min=0.05)) == "oscillation"
 
 
 def test_trend_needs_three_samples():
     with pytest.raises(ValueError):
-        classify_trend(np.zeros(10), 9, 24)
+        classify_trend(np.zeros(10), 9, Config(trend_window=24))
 
 
 def _trend_reference(sig, change_index, window, slope_min, variance_ratio):
@@ -352,6 +334,7 @@ def _trend_reference(sig, change_index, window, slope_min, variance_ratio):
 @settings(max_examples=100, deadline=None)
 def test_trend_fit_matches_polyfit_and_var_bit_for_bit(seed, kind, slope_min):
     rng = np.random.default_rng(seed)
+    cfg = Config(trend_window=48, slope_min=slope_min, variance_ratio=2.0)
     for _ in range(20):
         n_pre, n_post = int(rng.integers(0, 49)), int(rng.integers(3, 49))
         level = rng.normal(scale=10.0 ** rng.integers(-3, 4))
@@ -364,7 +347,7 @@ def test_trend_fit_matches_polyfit_and_var_bit_for_bit(seed, kind, slope_min):
         slope, pre_var, post_var, label = _trend_reference(sig, n_pre, 48, slope_min, 2.0)
         got = (_slope(post), _variance(pre) if n_pre >= 2 else 0.0, _variance(post))
         assert struct.pack("<3d", *got) == struct.pack("<3d", slope, pre_var, post_var)
-        assert classify_trend(sig, n_pre, 48, slope_min, 2.0) == label
+        assert classify_trend(sig, n_pre, cfg) == label
 
 
 # ---------------------------------------------------------------- segmentation
@@ -420,7 +403,13 @@ def test_segment_flush_closes_open_event():
 
 class ScalarSegmenter(EventSegmenter):
     """The segmentation state machine one sample at a time: the reference
-    that `EventSegmenter.run`, driven by violation positions, must match."""
+    that `EventSegmenter.run`, driven by violation positions, must match.
+    With `span` the peak comes from all of an event's samples up to the
+    one that closes it, without from its violations alone."""
+
+    def __init__(self, t1: int, t2: int, span: bool):
+        super().__init__(t1, t2)
+        self.span = span
 
     def run(self, ks, flags, keys, values, opens=None):
         t1, persist, span = self.t1, self.t2 + 1, self.span
@@ -481,12 +470,15 @@ def violation_columns(draw):
 @settings(max_examples=200, deadline=None)
 def test_segmenter_matches_scalar_oracle_under_block_cuts(case):
     ks, flags, keys, values, t1, t2, span, cuts = case
-    got, want = EventSegmenter(t1, t2, span), ScalarSegmenter(t1, t2, span)
+    got, want = EventSegmenter(t1, t2), ScalarSegmenter(t1, t2, span)
+    # without span the oracle's peak skips the non-violations; the
+    # segmenter gets NaN keys there instead
+    masked = keys if span else np.where(flags, keys, math.nan)
     got_out, want_out, got_opens, want_opens = [], [], [], []
     for a, b in zip([0] + cuts, cuts + [len(ks)]):
         opens = []
         got_out += [(a + j, s) for j, s in got.run(ks[a:b], np.flatnonzero(flags[a:b]),
-                                                   keys[a:b], values[a:b], opens)]
+                                                   masked[a:b], values[a:b], opens)]
         got_opens += [a + j for j in opens]
         opens = []
         want_out += [(a + j, s) for j, s in want.run(ks[a:b].tolist(), flags[a:b].tolist(),
@@ -502,12 +494,14 @@ def test_segment_peak_and_close_rules():
     """The peak is the first sample with the largest key, a NaN key never
     wins but holds the peak when it opens the event, and the span peak
     takes the closing sample; a violation after a gap in k of T1 or more
-    extends the event."""
+    extends the event. Without span the non-violations' keys are NaN."""
     def run(ks, flags, keys, span=False, t1=3):
-        seg = EventSegmenter(t1, 100, span)
+        seg = EventSegmenter(t1, 100)
         n = len(ks)
-        out = seg.run(np.array(ks), np.flatnonzero(flags), np.array(keys, dtype=float),
-                      np.arange(n) + 0.5)
+        keys = np.array(keys, dtype=float)
+        if not span:
+            keys = np.where(flags, keys, math.nan)
+        out = seg.run(np.array(ks), np.flatnonzero(flags), keys, np.arange(n) + 0.5)
         return [(j, s.start_k, s.end_k, s.peak) for j, s in out] + [
             (None, s.start_k, s.end_k, s.peak) for s in seg.flush()]
 
@@ -549,6 +543,20 @@ def test_voltage_severity_is_first_extremum_mid_event():
         ("sag", 10, 14, 0.5), ("sag", 25, 26, 0.8)]
 
 
+def test_voltage_peak_skips_in_band_samples_under_an_asymmetric_band():
+    # 1.15 is inside (0.95, 1.2) but further from 1 than the violating
+    # 0.94s; it must not become the peak, streamed or in one block
+    cfg = Config(v_normal_low=0.95, v_normal_high=1.2)
+    mags = [1.0] * 50 + [0.94, 1.15, 0.94] + [1.0] * 200
+    frames = [PhasorFrame(k=k, bus=3, v=balanced(m), i_lines={}) for k, m in enumerate(mags)]
+    want = [("sag", 50, 52, float(m)) for m in np.abs(balanced(0.94))]
+    reps = _engine_reports(LocalEngine(3, {}, cfg), frames, VOLTAGE_MAG)
+    assert [(r.label, r.start_k, r.end_k, r.severity) for r in reps] == want
+    eng = LocalEngine(3, {}, cfg)
+    reps = eng.run(StreamColumns.from_frames(frames)) + eng.finish()
+    assert [(r.label, r.start_k, r.end_k, r.severity) for r in reps] == want
+
+
 def test_voltage_persistent_record_uses_its_own_span():
     # the persistent emission at the 11th violation (k=15) spans 11 samples,
     # longer than the 6-sample sustained limit: undervoltage, not sag
@@ -587,7 +595,7 @@ def test_central_change_ks_persistent_then_closed(monkeypatch):
     rng = np.random.default_rng(3)
     xs = rng.normal(size=400) + np.concatenate(
         [np.zeros(100), np.tile([40.0] * 8 + [0.0] * 8, 2), np.zeros(168), np.full(100, 40.0)])
-    ks, _ = cusum_run(DetectorState.from_config(cfg), xs.tolist())   # k is the position
+    ks, _ = cusum_run(DetectorState(cfg), xs.tolist())   # k is the position
     # two clusters: a persistent one from the square wave, then a short one
     first, second = [k for k in ks if k < 250], [k for k in ks if k >= 250]
     assert len(first) > cfg.t2 + 1 and 0 < len(second) <= cfg.t2

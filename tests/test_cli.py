@@ -319,6 +319,30 @@ def test_config_range_validation(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_config_rejects_a_nan_or_nonpositive_sustained_time(tmp_path, value):
+    path = tmp_path / "gw.cfg"
+    path.write_text(f"[voltage]\nsustained_s = {value}\n")
+    with pytest.raises(ConfigError, match="v_sustained_s"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_config_rejects_a_nan_or_nonpositive_variance_ratio(tmp_path, value):
+    path = tmp_path / "gw.cfg"
+    path.write_text(f"[trend]\nvariance_ratio = {value}\n")
+    with pytest.raises(ConfigError, match="variance_ratio"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1e-4"])
+def test_config_rejects_a_nan_or_negative_slope_min(tmp_path, value):
+    path = tmp_path / "gw.cfg"
+    path.write_text(f"[trend]\nslope_min = {value}\n")
+    with pytest.raises(ConfigError, match="slope_min"):
+        load_config(path)
+
+
 def test_simulate_attack_scenario_writes_central_view(tmp_path):
     import numpy as np
     from conftest import DATA
