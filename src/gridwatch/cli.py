@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from .analytics import DerivedBlock, StreamColumns
 from .central import EventLog
 from .config import Config, ConfigError, load_config
 from .model import FeederError, Placement, build_system, load_feeder, reduce_laterals
-from .pipeline import run_offline
+from .pipeline import forked, run_offline
 from .placement import (BudgetError, exhaustive_place, greedy_place,
                         random_place, three_phase_buses)
 
@@ -104,28 +105,40 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _warn_skipped(path: str | Path, skipped: int) -> None:
+    if skipped:
+        print(f"warning: skipped {skipped} malformed row(s) in {path}", file=sys.stderr)
+
+
 def _read_stream(path: str | Path) -> StreamColumns:
     """One stream CSV as columns; says on stderr how many rows were malformed."""
     stream, skipped = synth.read_stream_csv(path)
-    if skipped:
-        print(f"warning: skipped {skipped} malformed row(s) in {path}", file=sys.stderr)
+    _warn_skipped(path, skipped)
     return stream
 
 
 def _read_streams(directory: Path) -> dict[int, StreamColumns]:
-    """Every bus<N>.csv under `directory`, by sensor bus N (docs/streams.md)."""
+    """Every bus<N>.csv under `directory`, by sensor bus N (docs/streams.md).
+
+    Each file is parsed in its own forked child, all at once. The parent
+    takes a file's columns only once the files before it by name have
+    passed, so what it prints and raises is what a serial read would.
+    """
+    paths = sorted(directory.glob("bus*.csv"))
     streams: dict[int, StreamColumns] = {}
-    paths: dict[int, Path] = {}
-    for path in sorted(directory.glob("bus*.csv")):
-        stream = _read_stream(path)
-        if stream.bus < 0:
-            raise FeederError(f"{path}: not a stream name; streams are named bus<N>.csv")
-        if stream.bus in streams:
-            raise FeederError(f"{path}: a second stream for bus {stream.bus}, "
-                              f"after {paths[stream.bus].name}")
-        if not len(stream):
-            raise FeederError(f"{path}: no valid rows")
-        streams[stream.bus], paths[stream.bus] = stream, path
+    names: dict[int, str] = {}
+    jobs = ((f"the reader of {path}", partial(synth.read_stream_csv, path)) for path in paths)
+    with forked(jobs) as results:
+        for path, (stream, skipped) in zip(paths, results):
+            _warn_skipped(path, skipped)
+            if stream.bus < 0:
+                raise FeederError(f"{path}: not a stream name; streams are named bus<N>.csv")
+            if stream.bus in streams:
+                raise FeederError(f"{path}: a second stream for bus {stream.bus}, "
+                                  f"after {names[stream.bus]}")
+            if not len(stream):
+                raise FeederError(f"{path}: no valid rows")
+            streams[stream.bus], names[stream.bus] = stream, path.name
     if not streams:
         raise FeederError(f"no bus*.csv streams under {directory}")
     return streams

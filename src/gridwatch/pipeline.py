@@ -30,12 +30,28 @@ SVD wakes the BLAS worker threads, which would otherwise spin beside the
 children for the CPUs. A child inherits the streams through the fork and
 sends back only its reports; the parent takes them in placement order, so
 no output depends on which process finishes first.
+
+`forked` is the one fork helper: `run_offline` starts its engines through
+it, and `analyze` its stream readers (`cli._read_streams`), one child per
+CSV file. It starts one child per job, all at once, and guarantees three
+things. Results come back in job order, each only when asked for, so a
+caller can check one before it takes the next: `analyze` thereby prints
+its read warnings and errors in file-name order, as a serial read would.
+What a child raised is raised in the parent, with the child's traceback
+as a note. Every child has exited once the caller leaves it, on every
+path; one still running is terminated. A reader's parse transients die
+with its child, so the parent that then forks the engines, and so each
+engine, no longer carries them.
 """
 from __future__ import annotations
 
 import multiprocessing
 import traceback
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any
 
 from .analytics import AnomalyReport, DerivedSink, LocalEngine, StreamColumns
 from .central import (CentralChangeRecord, CentralChangeTracker, EventLog,
@@ -80,31 +96,60 @@ def run_local_engine(feeder: FeederModel, bus: int, stream: StreamColumns | None
     return reports
 
 
-def _local_child(conn, feeder: FeederModel, bus: int, stream: StreamColumns | None,
-                 cfg: Config, derived: DerivedSink | None) -> None:
-    """A forked child's work: one sensor's reports, or the exception that
-    stopped its engine with the child's traceback as a note, sent through
-    `conn`."""
+def _child(conn, name: str, work: Callable[[], Any]) -> None:
+    """A forked child's work: its result, or the exception that stopped it
+    with the child's traceback as a note, sent through `conn`."""
     try:
-        out = run_local_engine(feeder, bus, stream, cfg, derived)
+        out = work()
     except Exception as e:
-        e.add_note(f"in the local engine of bus {bus}:\n" + traceback.format_exc())
+        e.add_note(f"in {name}:\n" + traceback.format_exc())
         out = e
     conn.send(out)
 
 
-def _receive(bus: int, proc, conn) -> list[AnomalyReport]:
-    """A child's reports, once it has exited; what it raised is raised here."""
+def _receive(name: str, proc, conn) -> Any:
+    """A child's result, once it has exited; what it raised is raised here."""
     try:
         out = conn.recv()
     except EOFError:
         proc.join()
-        raise RuntimeError(f"the local engine of bus {bus} exited with code "
-                           f"{proc.exitcode} before sending its reports") from None
+        raise RuntimeError(f"{name} exited with code {proc.exitcode} "
+                           f"before sending its result") from None
     proc.join()
     if isinstance(out, Exception):
         raise out
     return out
+
+
+@contextmanager
+def forked(jobs: Iterable[tuple[str, Callable[[], Any]]]) -> Iterator[Iterator[Any]]:
+    """Run each job, a (name, work) pair, in its own forked child, all at once.
+
+    Gives an iterator over the children's results in job order, each
+    received only when asked for. What a child's work raised is raised
+    there, with the child's traceback as a note. Leaving the `with` block,
+    by any path, terminates the children still running and joins every
+    child. The work and its inputs reach a child through the fork; only
+    its result or exception comes back, pickled.
+    """
+    # a child flushes stdout and stderr as it exits; the fork start method
+    # flushes the parent's before each fork, so buffered text prints once
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for name, work in jobs:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child, name=name, args=(send, name, work))
+            proc.start()
+            send.close()   # the child holds the only writer, so its death reads as EOF
+            children.append((name, proc, recv))
+        yield (_receive(*child) for child in children)
+    finally:
+        for _, proc, recv in children:
+            recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
 
 
 def run_offline(feeder: FeederModel, placement: Placement,
@@ -130,19 +175,10 @@ def run_offline(feeder: FeederModel, placement: Placement,
     central = local_streams if central_streams is None else central_streams
     model = build_central_model(partition(build_system(feeder), placement))
 
-    # a child flushes stdout and stderr as it exits; the fork start method
-    # flushes the parent's before each fork, so buffered text prints once
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for bus in buses:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_local_child, name=f"local-engine-{bus}",
-                               args=(send, feeder, bus, local_streams.get(bus), cfg, derived))
-            proc.start()
-            send.close()   # the child holds the only writer, so its death reads as EOF
-            children.append((bus, proc, recv))
-
+    jobs = ((f"the local engine of bus {bus}",
+             partial(run_local_engine, feeder, bus, local_streams.get(bus), cfg, derived))
+            for bus in buses)
+    with forked(jobs) as reports:
         xs: list[tuple[int, float]] = []
         tracker = CentralChangeTracker(model, cfg, sink=lambda ks, x: xs.extend(zip(ks, x)))
         records: list[CentralChangeRecord] = []
@@ -150,14 +186,7 @@ def run_offline(feeder: FeederModel, placement: Placement,
                                      BLOCK_FRAMES):
             records.extend(tracker.step(fuse_frames(model, released)))
         records.extend(tracker.finish())
-
-        local_reports = {bus: _receive(bus, proc, recv) for bus, proc, recv in children}
-    finally:
-        for _, proc, recv in children:
-            recv.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+        local_reports = dict(zip(buses, reports))
 
     flat = [(str(bus), r) for bus, reps in sorted(local_reports.items()) for r in reps]
     log = fuse_reports(flat, records)

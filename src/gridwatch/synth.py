@@ -456,21 +456,25 @@ _CSV_COMMAS = CSV_HEADER.count(",")   # a row has 15 fields
 _CSV_CHUNK_CHARS = 1 << 20   # text parsed per np.loadtxt call
 _CSV_PIECES = 16             # pieces of a rejected chunk
 _STREAM_NAME = re.compile(r"bus([0-9]+)\.csv")
+_UNDECODED = re.compile("[\udc80-\udcff]")   # an undecodable byte, surrogate-escaped
 
 
 def read_stream_csv(path: str | Path) -> tuple[StreamColumns, int]:
     """One sensor's stream CSV as columns; returns (columns, skipped_row_count).
 
     The contract is in docs/streams.md. A row is malformed, and skipped,
-    when it does not have 15 fields, its k or one of its 12 phasor parts
-    does not parse, k is outside the u64 range that sample indices take on
-    the wire, or a part is not finite. Of the good rows, the first at a k
-    gives that frame's voltage, and the last at a (k, line) that line's
-    currents; a frame's currents are summed in line-id order, whatever the
-    order of its rows, and frames are in k order.
+    when it does not have 15 fields, holds a byte that does not decode,
+    its k or one of its 12 phasor parts does not parse, k is outside the
+    u64 range that sample indices take on the wire, or a part is not
+    finite. Of the good rows, the first at a k gives that frame's voltage,
+    and the last at a (k, line) that line's currents; a frame's currents
+    are summed in line-id order, whatever the order of its rows, and
+    frames are in k order.
     """
     parts, skipped = [], 0
-    with open(path) as fh, warnings.catch_warnings():
+    # a byte that does not decode reads as a lone surrogate, which no field
+    # may hold: its row is malformed, and its header unexpected
+    with open(path, errors="surrogateescape") as fh, warnings.catch_warnings():
         # some numpy versions read an integer written as a float ('12.0')
         # with only a DeprecationWarning; such a row is malformed here
         warnings.simplefilter("error", DeprecationWarning)
@@ -479,10 +483,12 @@ def read_stream_csv(path: str | Path) -> tuple[StreamColumns, int]:
             raise ScenarioError(f"{path}: unexpected header")
         while lines := fh.readlines(_CSV_CHUNK_CHARS):
             commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
-            whole = commas == _CSV_COMMAS
-            if not whole.all():
-                skipped += len(lines) - int(np.count_nonzero(whole))
-                lines = list(compress(lines, whole.tolist()))
+            ok = commas == _CSV_COMMAS
+            if not all(map(str.isascii, lines)):
+                ok &= [_UNDECODED.search(line) is None for line in lines]
+            if not ok.all():
+                skipped += len(lines) - int(np.count_nonzero(ok))
+                lines = list(compress(lines, ok.tolist()))
             skipped += _parse_rows(lines, parts)
     rows = np.concatenate(parts) if parts else np.empty(0, _CSV_ROW)
     finite = np.isfinite(rows["v"]).all(axis=1) & np.isfinite(rows["i"]).all(axis=1)

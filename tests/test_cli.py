@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -132,6 +134,40 @@ def test_analyze_rejects_stream_without_valid_rows(tmp_path, capsys):
     assert err[-1] == f"data error: {path}: no valid rows"
 
 
+def _insert_byte(path, row, field, byte=b"\xff"):
+    """`path` with `byte` put at the start of field `field` of line `row`."""
+    lines = path.read_bytes().split(b"\n")
+    fields = lines[row].split(b",")
+    fields[field] = byte + fields[field]
+    lines[row] = b",".join(fields)
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_analyze_skips_rows_with_undecodable_bytes(tmp_path, capsys):
+    """A byte that does not decode makes its row malformed, in a phasor part
+    as in a line id, which no writer could have written."""
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    path = streams / "bus19.csv"
+    _insert_byte(path, 5, 3)   # v_a_im
+    _insert_byte(path, 9, 8)   # line_id
+    capsys.readouterr()
+    assert main(["analyze", "--streams", str(streams), "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: skipped 2 malformed row(s) in {path}\n"
+    assert captured.out.startswith("0 log entries, 0 incident(s), 0 gap(s); wrote ")
+
+
+def test_analyze_refuses_a_header_with_an_undecodable_byte(tmp_path, capsys):
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    path = streams / "bus19.csv"
+    _insert_byte(path, 0, 8)
+    capsys.readouterr()
+    assert main(["analyze", "--streams", str(streams), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: unexpected header\n"
+
+
 def test_serve_local_warns_on_malformed_rows(tmp_path, capsys):
     import socket
     import threading
@@ -158,6 +194,119 @@ def test_serve_local_warns_on_malformed_rows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"warning: skipped 1 malformed row(s) in {bad}\n"
     assert captured.out.startswith("sent 480 frames, ")
+
+
+# ---------------------------------------------------------------- one reader per file
+
+def _serial_read_streams(directory):
+    """`_read_streams` as a serial read: each file in file-name order is
+    read, warned about and checked before the next is opened."""
+    from gridwatch.cli import _read_stream
+    from gridwatch.model import FeederError
+    streams, names = {}, {}
+    for path in sorted(directory.glob("bus*.csv")):
+        stream = _read_stream(path)
+        if stream.bus < 0:
+            raise FeederError(f"{path}: not a stream name; streams are named bus<N>.csv")
+        if stream.bus in streams:
+            raise FeederError(f"{path}: a second stream for bus {stream.bus}, "
+                              f"after {names[stream.bus]}")
+        if not len(stream):
+            raise FeederError(f"{path}: no valid rows")
+        streams[stream.bus], names[stream.bus] = stream, path.name
+    if not streams:
+        raise FeederError(f"no bus*.csv streams under {directory}")
+    return streams
+
+
+def _bad_name_early_bad_header_later(streams):
+    (streams / "bus0x.csv").write_text((streams / "bus7.csv").read_text())
+    _insert_byte(streams / "bus31.csv", 0, 0, b"x")
+
+
+def _bad_header_early_bad_name_later(streams):
+    _insert_byte(streams / "bus19.csv", 0, 0, b"x")
+    (streams / "bus7_v2.csv").write_text((streams / "bus7.csv").read_text())
+
+
+def _malformed_rows_in_two_files(streams):
+    _insert_byte(streams / "bus7.csv", 100, 2, b"x")
+    _insert_byte(streams / "bus31.csv", 7, 4, b"x")
+    _insert_byte(streams / "bus31.csv", 8, 5, b"\xff")
+
+
+def _bus07_next_to_bus7(streams):
+    (streams / "bus07.csv").write_text((streams / "bus7.csv").read_text())
+    _insert_byte(streams / "bus07.csv", 3, 2, b"x")
+    _insert_byte(streams / "bus31.csv", 3, 2, b"x")
+
+
+@pytest.mark.parametrize("fault", [_bad_name_early_bad_header_later,
+                                   _bad_header_early_bad_name_later,
+                                   _malformed_rows_in_two_files, _bus07_next_to_bus7])
+def test_analyze_reads_in_parallel_as_it_would_serially(tmp_path, capsys, monkeypatch, fault):
+    """With several faults at once, the forked readers print the lines and
+    give the exit code of a serial read in file-name order, and leave no
+    child either way."""
+    from gridwatch import cli
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    fault(streams)
+    argv = ["analyze", "--streams", str(streams), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    forked = main(argv), capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(cli, "_read_streams", _serial_read_streams)
+    serial = main(argv), capsys.readouterr()
+    assert forked == serial
+    assert serial[1].err
+
+
+def test_analyze_stops_the_readers_of_later_files_on_an_error(tmp_path, capsys, monkeypatch):
+    """An early file's error is raised while a later file is still being
+    parsed, and that file's reader does not outlive it."""
+    from gridwatch import synth
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", "quiet", "--out", str(streams)])
+    (streams / "bus0x.csv").write_text((streams / "bus7.csv").read_text())
+    read = synth.read_stream_csv
+
+    def slow_read(path):
+        if path.name == "bus7.csv":
+            time.sleep(60)
+        return read(path)
+
+    monkeypatch.setattr(synth, "read_stream_csv", slow_read)
+    capsys.readouterr()
+    t0 = time.monotonic()
+    assert main(["analyze", "--streams", str(streams), "--out", str(tmp_path / "out")]) == 3
+    assert time.monotonic() - t0 < 30
+    assert capsys.readouterr().err == (f"data error: {streams / 'bus0x.csv'}: not a stream "
+                                       "name; streams are named bus<N>.csv\n")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", ["fault_at_sensor", "load_loss", "quiet", "slgf"])
+def test_parallel_read_returns_the_columns_of_a_read_per_file(tmp_path, name):
+    from gridwatch.cli import _read_streams
+    from gridwatch.synth import read_stream_csv
+    streams = tmp_path / "streams"
+    main(["simulate", "--scenario", name, "--out", str(streams)])
+    got = _read_streams(streams)
+    want = {}
+    for path in sorted(streams.glob("bus*.csv")):
+        stream = read_stream_csv(path)[0]
+        want[stream.bus] = stream
+    assert list(got) == list(want)
+    for bus, a in got.items():
+        b = want[bus]
+        assert a.bus == b.bus
+        for x, y in [(a.ks, b.ks), (a.vi, b.vi)] + [
+                (u, v) for lid in b.lines for u, v in zip(a.lines[lid], b.lines[lid])]:
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+        assert list(a.lines) == list(b.lines)
+    assert multiprocessing.active_children() == []
 
 
 def test_analyze_derived_metrics(tmp_path):

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from gridwatch.central import (CentralChangeTracker, build_central_model, fuse_f
                                fuse_reports, group_frames)
 from gridwatch.config import Config
 from gridwatch.model import Placement, build_system, load_feeder, partition
-from gridwatch.pipeline import BLOCK_FRAMES, run_local_engine, run_offline
-from gridwatch.synth import (CSV_HEADER, Scenario, apply_replay_attack, generate,
-                             read_stream_csv, write_stream_csv, write_streams)
+from gridwatch.pipeline import BLOCK_FRAMES, forked, run_local_engine, run_offline
+from gridwatch.synth import (CSV_HEADER, Scenario, ScenarioError, apply_replay_attack,
+                             generate, read_stream_csv, write_stream_csv, write_streams)
 from gridwatch.transport import FRAME, Message, MessageStream, encode
 
 from conftest import DATA, scenario_path
@@ -248,6 +249,28 @@ def test_reader_keeps_k_up_to_the_u64_limit(tmp_path):
     assert got.ks.tolist() == [0, 2**63, 2**64 - 1] and skipped == 1
 
 
+def test_reader_skips_rows_with_undecodable_bytes(tmp_path):
+    """A byte that does not decode makes its row malformed, in a phasor part
+    or in the line id; a line id that decodes is kept, non-ASCII or not."""
+    v = ",".join(["1.0", "0.0"] * 3)
+    rows = [f"{k},t,{v},{lid},{v}".encode() for k, lid in
+            [(0, "6-7"), (1, "6-7"), (2, "6-\u00e9"), (3, "6-7"), (4, "6-7")]]
+    rows[1] = rows[1].replace(b",1.0,", b",1.0\xff,", 1)
+    rows[3] = rows[3].replace(b",6-7,", b",6-\xff7,", 1)
+    bad, good = tmp_path / "bus7.csv", tmp_path / "clean" / "bus7.csv"
+    bad.write_bytes(b"\n".join([CSV_HEADER.encode(), *rows]) + b"\n")
+    good.parent.mkdir()
+    good.write_bytes(b"\n".join([CSV_HEADER.encode(), rows[0], rows[2], rows[4]]) + b"\n")
+    got, skipped = read_stream_csv(bad)
+    want, none = read_stream_csv(good)
+    assert (skipped, none) == (2, 0)
+    assert got.ks.tolist() == [0, 2, 4] and list(got.lines) == ["6-7", "6-\u00e9"]
+    assert got.vi.tobytes() == want.vi.tobytes()
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    with pytest.raises(ScenarioError, match="unexpected header"):
+        read_stream_csv(bad)
+
+
 def test_reader_warns_nothing_on_overflowing_sums(tmp_path):
     """Finite currents whose sum overflows, or infinite ones: no numpy
     warning (warnings are errors in this suite), the sum is inf, and the
@@ -433,6 +456,30 @@ def test_offline_run_raises_what_a_child_or_the_central_stage_raises(monkeypatch
     monkeypatch.setattr(pipeline, "fuse_frames", fuse_frames)
     with pytest.raises(ValueError, match="fusion failed"):
         run_offline(feeder, placement, streams, derived=lambda bus, block: time.sleep(30))
+    assert multiprocessing.active_children() == []
+
+
+def _after(delay, value):
+    import time
+    time.sleep(delay)
+    return value
+
+
+def test_forked_gives_results_in_job_order_and_joins_every_child():
+    jobs = [(f"job {i}", partial(_after, delay, i)) for i, delay in enumerate([0.3, 0.0, 0.1])]
+    with forked(jobs) as results:
+        assert list(results) == [0, 1, 2]
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_raises_when_a_child_dies_without_a_result():
+    """A child that exits without sending raises in the parent, and a child
+    still busy then is stopped."""
+    jobs = [("job 0", partial(_after, 0.0, 0)), ("job 1", partial(os._exit, 3)),
+            ("job 2", partial(_after, 60, 2))]
+    with pytest.raises(RuntimeError, match="job 1 exited with code 3 before sending its result"):
+        with forked(jobs) as results:
+            list(results)
     assert multiprocessing.active_children() == []
 
 

@@ -5,12 +5,20 @@ Run from the repo root:  python tools/golden_outputs.py OUTDIR
 
 For every bundled scenario, and for `slgf` with a replay attack on bus 19
 over k 300-700 (window 120), OUTDIR/<name>/streams holds what `simulate`
-wrote and OUTDIR/<name>/out what `analyze --derived` wrote from it.
-OUTDIR/<name>/net holds what `serve-central` wrote (`eventlog.jsonl`,
-`central_x.csv`) and printed (`stdout.txt`, `stderr.txt`), fed over
-loopback by one `transport.serve_local` per sensor, each replaying that
-sensor's own stream CSV; the server and the senders run as threads of
-this process. Paths in the printed text are relative to OUTDIR.
+wrote and OUTDIR/<name>/out what `analyze --derived` wrote from it and
+printed (`stdout.txt`, `stderr.txt`). OUTDIR/<name>/net holds what
+`serve-central` wrote (`eventlog.jsonl`, `central_x.csv`) and printed
+(`stdout.txt`, `stderr.txt`), fed over loopback by one
+`transport.serve_local` per sensor, each replaying that sensor's own
+stream CSV; the server and the senders run as threads of this process.
+Paths in the printed text are relative to OUTDIR.
+
+OUTDIR/bad_streams/<case> holds the `quiet` streams altered in one fixed
+way (`BAD_STREAMS`: a malformed row, a non-finite row, an undecodable
+byte, a file named `bus7_v2.csv`, a `bus07.csv` beside `bus7.csv`, a
+`bus19.csv` with no valid row) and what `analyze` wrote from them, if
+anything, and printed: `exit.txt` holds its exit code, or the type and
+message of an exception that escaped `cli.main`.
 
 OUTDIR/place holds one JSON file per placement solve (greedy ieee34 K=3,
 greedy ieee123 with laterals reduced at K=4 and K=20, exhaustive ieee34
@@ -30,6 +38,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import socket
 import sys
 import threading
@@ -52,14 +61,65 @@ PLACEMENTS = {"greedy_ieee34_k3": ("greedy", "ieee34", False, 3),
               "exhaustive_ieee34_k3": ("exhaustive", "ieee34", False, 3)}
 
 
+def _edit_field(path: Path, row: int, field: int, edit) -> None:
+    """`path` with field `field` of line `row` replaced by `edit` of its bytes."""
+    lines = path.read_bytes().split(b"\n")
+    fields = lines[row].split(b",")
+    fields[field] = edit(fields[field])
+    lines[row] = b",".join(fields)
+    path.write_bytes(b"\n".join(lines))
+
+
+def _copy(streams: Path, name: str) -> None:
+    (streams / name).write_bytes((streams / "bus7.csv").read_bytes())
+
+
+# case -> how it alters a copy of the quiet scenario's streams
+BAD_STREAMS = {
+    "malformed_row": lambda d: _edit_field(d / "bus7.csv", 100, 2, lambda f: b"not_a_number"),
+    "non_finite_row": lambda d: _edit_field(d / "bus7.csv", 100, 2, lambda f: b"nan"),
+    "undecodable_byte": lambda d: _edit_field(d / "bus19.csv", 5, 3, lambda f: b"\xff" + f),
+    "bus7_v2": lambda d: _copy(d, "bus7_v2.csv"),
+    "bus07": lambda d: _copy(d, "bus07.csv"),
+    "no_valid_rows": lambda d: (d / "bus19.csv").write_text(synth.CSV_HEADER + "\n1,t,x\n"),
+}
+
+
+def capture(argv: list[str]) -> tuple[int | str, str, str]:
+    """`cli.main(argv)`'s exit code, or the exception that escaped it as
+    'type: message', and what it printed on stdout and on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as e:
+            code = f"{type(e).__name__}: {e}"
+    return code, out.getvalue(), err.getvalue()
+
+
 def run(name: str, scenario: Path) -> None:
     streams, out = Path(name, "streams"), Path(name, "out")
-    for argv in (["simulate", "--scenario", str(scenario), "--out", str(streams)],
-                 ["analyze", "--streams", str(streams), "--out", str(out), "--derived"]):
-        code = cli.main(argv)
-        if code:
-            sys.exit(f"{name}: gridwatch {argv[0]} exited {code}")
+    if code := cli.main(["simulate", "--scenario", str(scenario), "--out", str(streams)]):
+        sys.exit(f"{name}: gridwatch simulate exited {code}")
+    code, stdout, stderr = capture(["analyze", "--streams", str(streams), "--out", str(out),
+                                    "--derived"])
+    if code:
+        sys.exit(f"{name}: gridwatch analyze exited {code}\n{stderr}")
+    (out / "stdout.txt").write_text(stdout)
+    (out / "stderr.txt").write_text(stderr)
     run_net(name, streams)
+
+
+def run_bad_streams(quiet: Path) -> None:
+    for case, alter in BAD_STREAMS.items():
+        streams = Path("bad_streams", case, "streams")
+        shutil.copytree(quiet, streams)
+        alter(streams)
+        code, stdout, stderr = capture(["analyze", "--streams", str(streams),
+                                        "--out", str(streams.parent / "out")])
+        (streams.parent / "exit.txt").write_text(f"{code}\n")
+        (streams.parent / "stdout.txt").write_text(stdout)
+        (streams.parent / "stderr.txt").write_text(stderr)
 
 
 def run_net(name: str, streams: Path) -> None:
@@ -120,6 +180,7 @@ def main(argv: list[str]) -> None:
     scenario = Path("slgf_replay.json")
     scenario.write_text(json.dumps(doc))
     run("slgf_replay", scenario)
+    run_bad_streams(Path("quiet", "streams"))
     run_place()
     write_env()
 
