@@ -5,15 +5,18 @@ admittances, no siting information. It works on blocks of frames, each a
 row range of the stream's columns (`StreamColumns`). One vectorised derive
 turns a block into derived columns: magnitudes, per-phase powers,
 a frequency-drift estimate and a quasi-steady-state subspace residual per
-incident line. Then each rule runs over the columns of one derived
-quantity: a threshold rule flags a whole block with numpy comparisons, and
-a change rule runs the CUSUM recursion over each column, the one loop per
-sample besides the frequency tracker's smoothing. A segmenter per column
-groups the violations into events from their positions, and each event
-becomes a labeled anomaly report whose severity is its peak: the value at
-the first largest key among the event's samples, where a threshold rule
-keys its non-violating samples NaN so that only violations count. A
-column with no violation and no open event costs its segmenter nothing.
+incident line, the last from one elementwise kernel over every window of
+the block (`qss_residuals`, no LAPACK call). Then each rule runs over the
+columns of one derived quantity: a threshold rule flags a whole block with
+numpy comparisons, and a change rule runs the CUSUM recursion over each
+column, the one loop per sample besides the frequency tracker's smoothing;
+it skips, and counts, a sample that is not finite or too large to square.
+A segmenter per column groups the violations into events from their
+positions, and each event becomes a labeled anomaly report whose severity
+is its peak: the value at the first largest key among the event's
+samples, where a threshold rule keys its non-violating samples NaN so that
+only violations count. A column with no violation and no open event costs
+its segmenter nothing.
 Every rule constant (bands, CUSUM parameters, T1 and T2, the trend fit's
 window and bounds) is read from the engine's `Config`; no helper restates
 a default.
@@ -25,9 +28,11 @@ fed one frame at a time (`LocalEngine.step`, which wraps the frame as a
 block of one) and the same stream fed in blocks of any length
 (`LocalEngine.run`) go through the same kernels and give the same
 reports, bit for bit. That is also why powers, the positive
-sequence and the window correlations are computed in separately rounded
-real arithmetic: numpy's complex multiply rounds differently depending on
-the length of the array.
+sequence, the window correlations and the QSS residuals are computed in
+separately rounded real arithmetic: numpy's complex multiply rounds
+differently depending on the length of the array. The residual kernel
+also sums in a fixed order and lets each window's Newton iteration stop
+on its own.
 """
 from __future__ import annotations
 
@@ -367,25 +372,135 @@ def window_correlations(V: np.ndarray, I: np.ndarray, m: int) -> np.ndarray:
     if len(V) < m:
         return np.empty((0, 6, 3), dtype=complex)
     X = np.concatenate([I, V], axis=1)   # row r: i[r] then v[r]
-    R = _windows(X, m) @ _windows(np.conj(V), m).transpose(0, 2, 1)
-    R.view(float)[...] *= 1.0 / (m - 1)   # real and imaginary parts, each rounded once
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _windows(X, m) @ _windows(np.conj(V), m).transpose(0, 2, 1)
+        R.view(float)[...] *= 1.0 / (m - 1)   # real and imaginary parts, each rounded once
     return R
+
+
+def _sum6(x: np.ndarray) -> np.ndarray:
+    """Sum over the six rows of x (6, n), in one fixed order whatever n."""
+    h = x[:3] + x[3:]
+    h[0] += h[1]
+    h[0] += h[2]
+    return h[0]
+
+
+def _dot(qr, qi, ar, ai) -> tuple[np.ndarray, np.ndarray]:
+    """q^H a for columns (6, n), as real and imaginary parts (n,)."""
+    re = qr * ar
+    re += qi * ai
+    im = qr * ai
+    im -= qi * ar
+    return _sum6(re), _sum6(im)
+
+
+def _norm(ar, ai) -> np.ndarray:
+    sq = ar * ar
+    sq += ai * ai
+    return np.sqrt(_sum6(sq))
+
+
+def _unit(ar, ai, r) -> tuple[np.ndarray, np.ndarray]:
+    """a / r, and 0 where r is 0."""
+    d = np.where(r > 0.0, r, np.inf)
+    return ar / d, ai / d
+
+
+def _orthogonalise(wr, wi, basis) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Classical Gram-Schmidt, twice, of a column w (6, n), in place,
+    against the orthonormal columns `basis`: each one's coefficient q^H w
+    summed over both passes, then w's remainder and its norm. The norm is
+    set to 0 where the second pass removed more than half of what the
+    first left: there w lay in the basis's span, up to rounding, and what
+    is left is noise that need not be orthogonal to the basis (Kahan's
+    "twice is enough" test)."""
+    coef = [(0.0, 0.0)] * len(basis)
+    for rounds in range(2):
+        if rounds:
+            first = _norm(wr, wi)
+        cs = [_dot(qr, qi, wr, wi) for qr, qi in basis]
+        for (qr, qi), (cr, ci) in zip(basis, cs):
+            step = qr * cr
+            step -= qi * ci
+            wr -= step
+            step = qr * ci
+            step += qi * cr
+            wi -= step
+        coef = [(ar + cr, ai + ci) for (ar, ai), (cr, ci) in zip(coef, cs)]
+    r = _norm(wr, wi)
+    return coef, wr, wi, np.where(r >= 0.5 * first, r, 0.0)
 
 
 def qss_residuals(R: np.ndarray) -> np.ndarray:
     """Frobenius residual of R R^H outside its best rank-1 approximation,
-    for each matrix R in a stack (n, p, q), from one batched SVD.
+    for each matrix R in a stack (n, 6, 3): sqrt(sum_{i>=2} sigma_i^4(R)),
+    zero when R is rank one.
 
-    Equals sqrt(sum_{i>=2} sigma_i^4(R)); zero exactly when R is rank one.
+    Elementwise numpy only. Classical Gram-Schmidt with one
+    reorthogonalisation gives R = QU with U (3, 3) upper triangular; a
+    column that lies in the span of the ones before it, up to rounding,
+    gets a zero diagonal. The eigenvalues of G = U^H U are the sigma_i^2,
+    and G has the invariants t = ||U||_F^2, e2 = the sum of |2x2 minors of
+    U|^2 (Cauchy-Binet) and e3 = |u11 u22 u33|^2. Newton from x = t falls
+    monotonically to the largest root lambda_1 of the cubic
+    x^3 - t x^2 + e2 x - e3. Each window stops on its own, before the first
+    step that does not lower both x and |cubic(x)|: rounding can turn a
+    multiple root into a complex pair, which Newton would run past. With
+    p = e3 / lambda_1 and s = (e2 - p) / lambda_1, the residual is
+    sqrt(s^2 - 2p). Every quantity is a sum of squares or a product, so
+    nothing cancels catastrophically: the relative error is a small
+    multiple of the unit roundoff times sigma_1 / sigma_2, as the SVD's.
+    Where sigma_1 = sigma_2 the largest root is multiple and about half
+    the digits are kept, a third where all three tie (relative errors near
+    1e-8 and 1e-5).
+
+    No reduction runs across windows and each window's Newton steps are
+    its own, so a window's bits do not depend on the stack it is in. A
+    zero window gives exactly 0.0. A window with a non-finite entry, or
+    whose sum of squared entries overflows, gives NaN, without a warning.
     """
     if len(R) == 0:
         return np.empty(0)
-    s = np.linalg.svd(R, compute_uv=False)
-    out = np.zeros(len(R))
-    for c in range(1, s.shape[1]):
-        sq = s[:, c] * s[:, c]
-        out += sq * sq
-    return np.sqrt(out)
+    X = np.asarray(R).transpose(2, 1, 0)   # (3 columns, 6 rows, n)
+    Xr, Xi = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
+    with np.errstate(all="ignore"):
+        r11 = _norm(Xr[0], Xi[0])
+        q1 = _unit(Xr[0], Xi[0], r11)
+        [(r12r, r12i)], wr, wi, r22 = _orthogonalise(Xr[1], Xi[1], [q1])
+        q2 = _unit(wr, wi, r22)
+        [(r13r, r13i), (r23r, r23i)], _, _, r33 = _orthogonalise(Xr[2], Xi[2], [q1, q2])
+
+        a2, d2, f2 = r11 * r11, r22 * r22, r33 * r33
+        b2 = r12r * r12r + r12i * r12i
+        c2 = r13r * r13r + r13i * r13i
+        g2 = r23r * r23r + r23i * r23i
+        t = a2 + b2 + c2 + d2 + g2 + f2
+        mr = (r12r * r23r - r12i * r23i) - r13r * r22   # u12 u23 - u13 u22
+        mi = (r12r * r23i + r12i * r23r) - r13i * r22
+        e2 = a2 * d2 + a2 * g2 + (mr * mr + mi * mi) + a2 * f2 + b2 * f2 + d2 * f2
+        e3 = r11 * r22 * r33
+        e3 = e3 * e3
+
+        x = t.copy()
+        act = np.flatnonzero(t > 0.0)
+        xa, ta, e2a, e3a = x[act], t[act], e2[act], e3[act]
+        f = ((xa - ta) * xa + e2a) * xa - e3a
+        fp = (3.0 * xa - 2.0 * ta) * xa + e2a
+        while len(act):
+            xn = xa - f / fp
+            fn = ((xn - ta) * xn + e2a) * xn - e3a
+            fpn = (3.0 * xn - 2.0 * ta) * xn + e2a
+            go = (xn < xa) & (np.abs(fn) < f)
+            act, xa, ta, e2a, e3a = act[go], xn[go], ta[go], e2a[go], e3a[go]
+            f, fp = fn[go], fpn[go]
+            x[act] = xa
+
+        lam = np.where(x > 0.0, x, np.inf)
+        p = e3 / lam
+        s = (e2 - p) / lam
+        out = np.sqrt(s * s - 2.0 * p)
+        return np.where(t < np.inf, out, np.nan)   # an infinite t gives p = s = 0
 
 
 @dataclass
@@ -458,6 +573,10 @@ def cusum_run(state: DetectorState, xs) -> tuple[list[int], list[float]]:
     state._n, state._w_mean, state._w_m2 = n, w_mean, w_m2
     return alarms, zs
 
+
+# A change rule skips a sample at or above this magnitude: below it, no
+# square in `cusum_run` overflows.
+_CUSUM_LIMIT = 2.0 ** 500
 
 _EPS = float(np.finfo(float).eps)
 
@@ -813,18 +932,38 @@ class _Change(_Rule):
         super().__init__(rule, bus, line, cfg, width)
         self.dets = [DetectorState(cfg) for _ in range(width)]
         self.trends = [_TrendLabels(cfg) if trend else None for _ in range(width)]
+        self.skipped = 0   # over all columns
 
     def scan(self, ks: np.ndarray, X: np.ndarray) -> list[tuple[int, int, AnomalyReport]]:
+        """A sample that is NaN, infinite or of magnitude `_CUSUM_LIMIT` or
+        more is skipped: the detector and the trend labels go on without it,
+        and the segmenter sees it with z = 0."""
+        X = X.reshape(len(ks), self.width)
+        fit = np.abs(X) < _CUSUM_LIMIT
+        whole = bool(fit.all())
         out = []
-        for c, xs in enumerate(X.T.tolist() if X.ndim == 2 else [X.tolist()]):
-            alarms, z = cusum_run(self.dets[c], xs)
+        for c, xs in enumerate(X.T.tolist()):
+            keep = None if whole or fit[:, c].all() else np.flatnonzero(fit[:, c])
+            if keep is None:
+                alarms, z = cusum_run(self.dets[c], xs)
+            else:
+                self.skipped += len(xs) - len(keep)
+                xs = X[keep, c].tolist()
+                at, z_kept = cusum_run(self.dets[c], xs)
+                alarms = keep[at].tolist()
+                z = np.zeros(len(ks))
+                z[keep] = z_kept
             seg, opens = self.segs[c], []
             emitted = seg.run(ks, alarms, np.abs(z), opens=opens) if alarms or seg.is_open else []
             trend = self.trends[c]
             if trend is None:
                 labels = ["transient"] * len(emitted)
             else:
-                labels = trend.advance(xs, opens, [j for j, _ in emitted])
+                emits = [j for j, _ in emitted]
+                if keep is not None:   # as positions among the samples taken
+                    opens = keep.searchsorted(opens).tolist()
+                    emits = (keep.searchsorted(emits, side="right") - 1).tolist()
+                labels = trend.advance(xs, opens, emits)
             out += [(j, c, self._report(c, s, label)) for (j, s), label in zip(emitted, labels)]
         return out
 
@@ -873,13 +1012,16 @@ class LocalEngine:
         """Derived columns of a block of frames.
 
         Advances the frequency tracker and the QSS windows, so each frame
-        is derived once, in stream order.
+        is derived once, in stream order. A value that overflows, or that
+        comes from a non-finite one, is not finite, without a warning; the
+        change rules skip it.
         """
         V = np.ascontiguousarray(block.v)
-        beta = np.array(self.freq.track(positive_sequence(V).tolist()))
-        lines = {lid: self._derive_line(lid, V, block.ks, rows, I)
-                 for lid, (rows, I) in block.lines.items()}
-        return DerivedBlock(ks=block.ks, vmag=np.abs(V), beta_hat=beta, lines=lines)
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = np.array(self.freq.track(positive_sequence(V).tolist()))
+            lines = {lid: self._derive_line(lid, V, block.ks, rows, I)
+                     for lid, (rows, I) in block.lines.items()}
+            return DerivedBlock(ks=block.ks, vmag=np.abs(V), beta_hat=beta, lines=lines)
 
     def _derive_line(self, lid: str, V: np.ndarray, ks: np.ndarray, rows: np.ndarray,
                      I: np.ndarray) -> LineColumns:

@@ -2,19 +2,25 @@ import math
 import struct
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwatch import central
-from gridwatch.analytics import (OVERCURRENT, QSS_VALIDITY, VOLTAGE_MAG, DetectorState,
+from gridwatch.analytics import (ACTIVE_POWER, CURRENT_MAG, FREQUENCY, OVERCURRENT,
+                                 QSS_VALIDITY, REACTIVE_POWER, VOLTAGE_MAG, DetectorState,
                                  EventSegmenter, FrequencyTracker, LocalEngine,
                                  PhasorFrame, Segment, StreamColumns, check_overcurrent,
                                  classify_trend, classify_voltage, complex_power, cusum_run,
                                  positive_sequence, qss_residuals, window_correlations)
 from gridwatch.analytics import _slope, _variance
 from gridwatch.config import Config
+from gridwatch.pipeline import BLOCK_FRAMES
+from gridwatch.synth import Scenario, generate
+
+from conftest import scenario_path
 
 
 # ---------------------------------------------------------------- power
@@ -241,6 +247,129 @@ def test_qss_residual_zero_matrix():
     assert qss_residual(np.zeros((6, 3))) == 0.0
 
 
+def _unitary(rng, m: int, k: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))
+    return q
+
+
+def _windows_with_spectrum(rng, sigmas) -> np.ndarray:
+    """One (6, 3) window U diag(sigma) W^H per row of `sigmas`, with U and W
+    drawn at random."""
+    return np.array([_unitary(rng, 6, 3) @ np.diag(s) @ _unitary(rng, 3, 3).conj().T
+                     for s in sigmas])
+
+
+def _residual_40_digits(R: np.ndarray) -> float:
+    """sqrt(sigma_2^4 + sigma_3^4) of the window R as stored, from the
+    eigenvalues of R^H R at 40 digits."""
+    with mpmath.workdps(40):
+        M = mpmath.matrix(R.tolist())
+        lam = sorted(mpmath.eighe(M.H * M, eigvals_only=True))
+        return float(mpmath.sqrt(lam[0] ** 2 + lam[1] ** 2))
+
+
+def _residual_svd(R: np.ndarray) -> np.ndarray:
+    s = np.linalg.svd(R, compute_uv=False)
+    return np.sqrt((s[:, 1] ** 2) ** 2 + (s[:, 2] ** 2) ** 2)
+
+
+@pytest.fixture(scope="module")
+def slgf_windows(ieee34):
+    """Every line window of the bundled slgf streams, at the default M."""
+    streams, _ = generate(Scenario.from_json(scenario_path("slgf").read_text()), ieee34)
+    out = []
+    for cols in streams.values():
+        for rows, cur in cols.lines.values():
+            out.append(window_correlations(cols.v[rows], cur, Config().m))
+    return np.concatenate(out)
+
+
+def test_qss_residual_matches_a_40_digit_oracle(slgf_windows):
+    """Within 1e-8 relative of the residual at 40 digits, and at worst no
+    further off than LAPACK's SVD, on windows with sigma_2 / sigma_1 from
+    1e-8 to 1 and on the slgf streams' windows: the 100 with the smallest
+    sigma_2 / sigma_1 and 100 spread over the run."""
+    rng = np.random.default_rng(11)
+    sigmas = []
+    for _ in range(300):
+        s1 = 10.0 ** rng.uniform(-3, 1)
+        s2 = s1 * 10.0 ** rng.uniform(-8, 0)
+        sigmas.append((s1, s2, s2 * 10.0 ** rng.uniform(-8, 0)))
+    s = np.linalg.svd(slgf_windows, compute_uv=False)
+    worst = np.argsort(s[:, 1] / s[:, 0])[:100]
+    spread = np.linspace(0, len(slgf_windows) - 1, 100).astype(int)
+    R = np.concatenate([_windows_with_spectrum(rng, sigmas), slgf_windows[worst],
+                        slgf_windows[spread]])
+    exact = np.array([_residual_40_digits(w) for w in R])
+    kernel = np.abs(qss_residuals(R) - exact) / exact
+    svd = np.abs(_residual_svd(R) - exact) / exact
+    assert kernel.max() <= 1e-8 and kernel.max() <= svd.max(), (kernel.max(), svd.max())
+
+
+@pytest.mark.parametrize("sigma, bound", [((1.0, 1.0, 0.0), 1e-7), ((2.0, 2.0, 1.0), 1e-7),
+                                          ((1.0, 1.0, 1.0), 1e-5)])
+def test_qss_residual_at_tied_singular_values(sigma, bound):
+    """Where sigma_1 = sigma_2 the largest root of the cubic is double and
+    about half its digits are kept, a third where all three tie."""
+    R = _windows_with_spectrum(np.random.default_rng(12), [sigma] * 60)
+    exact = math.sqrt(sigma[1] ** 4 + sigma[2] ** 4)
+    assert np.abs(qss_residuals(R) - exact).max() <= bound * exact
+
+
+def test_qss_residual_of_windows_with_dependent_columns():
+    """A column that is a multiple or a sum of the ones before it adds
+    nothing but rounding: three parallel columns give rank one, to 1e-14 of
+    ||R||^2, and a third column that sums the first two gives the residual
+    of those two."""
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=6) + 1j * rng.normal(size=6)
+    b = rng.normal(size=6) + 1j * rng.normal(size=6)
+    rank_one = np.array([np.ones((6, 3)), np.stack([a, a, a], axis=1),
+                         np.stack([a, 3 * a, 1j * a], axis=1)])
+    assert (qss_residuals(rank_one) <= 1e-14 * np.linalg.norm(rank_one, axis=(1, 2)) ** 2).all()
+    rank_two = np.stack([a, b, a + b], axis=1)
+    assert qss_residual(rank_two) == pytest.approx(_residual_svd(rank_two[None])[0], rel=1e-12)
+
+
+def test_qss_residual_of_a_non_finite_or_overflowing_window_is_nan():
+    """NaN without a warning (warnings are errors in this suite) for a
+    window with a NaN or an infinite entry, or whose squares overflow."""
+    R = np.ones((4, 6, 3), dtype=complex)
+    R[0, 2, 1] = np.nan
+    R[1, 0, 0] = np.inf
+    R[2] *= 1e300
+    out = qss_residuals(R)
+    assert np.isnan(out[:3]).all() and out[3] == pytest.approx(0.0, abs=1e-12)
+
+
+def _mixed_windows(rng, n: int) -> np.ndarray:
+    """n windows: near rank one at various conditionings, tied, zero,
+    with a zero column, with a NaN, and scaled by up to 1e+-150."""
+    kind = rng.integers(0, 6, n)
+    s2 = 10.0 ** rng.uniform(-9, 0, n)
+    sigmas = [(1.0, 1.0, 0.5) if k == 1 else (1.0, s2[i], s2[i] * s2[i]) for i, k in enumerate(kind)]
+    R = _windows_with_spectrum(rng, sigmas)
+    R[kind == 2] = 0.0
+    R[kind == 3, :, 1] = 0.0
+    R[kind == 4, 3, 2] = np.nan
+    R[kind == 5] *= 10.0 ** rng.uniform(-150, 150, (np.count_nonzero(kind == 5), 1, 1))
+    return R
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       cuts=st.lists(st.integers(0, 40), max_size=8))
+def test_qss_residuals_do_not_depend_on_the_stack(seed, n, cuts):
+    """A window's residual has the same bits whatever stack it is in."""
+    R = _mixed_windows(np.random.default_rng(seed), n)
+    whole = qss_residuals(R).view(np.uint64)
+    bounds = sorted({0, n, *(min(c, n) for c in cuts)})
+    for a, b in zip(bounds, bounds[1:]):
+        assert np.array_equal(qss_residuals(R[a:b]).view(np.uint64), whole[a:b])
+    for j in range(n):
+        assert qss_residuals(R[j:j + 1]).view(np.uint64)[0] == whole[j]
+
+
 # ---------------------------------------------------------------- cusum
 
 def test_rule_defaults_are_the_config_defaults():
@@ -274,6 +403,49 @@ def test_cusum_detects_a_step_quickly():
     assert st_.armed
     hits, _ = cusum_run(st_, rng.normal(loc=5.0, size=10).tolist())
     assert hits
+
+
+def _line_engine(I: np.ndarray) -> tuple[LocalEngine, list]:
+    """A local engine on bus 3 run over line 3-4's currents I (n, 3) at a
+    balanced 1 p.u. voltage, and its reports."""
+    n = len(I)
+    eng = LocalEngine(3, {"3-4": np.full(3, 10.0)}, Config())
+    cols = StreamColumns.assemble(3, np.arange(n, dtype=np.uint64), np.tile(balanced(), (n, 1)),
+                                  {"3-4": (np.arange(n), I)})
+    return eng, eng.run(cols) + eng.finish()
+
+
+def _skipped(eng: LocalEngine) -> dict[str, int]:
+    return {rule.rule: rule.skipped for *_, rule in eng._rules if hasattr(rule, "skipped")}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_change_rules_skip_a_non_finite_sample(bad):
+    """One non-finite current does not silence its channels: each change
+    rule skips the samples it derives from it, counts them, and the
+    current's channel still alarms at a +20 sigma step later on."""
+    rng = np.random.default_rng(8)
+    mag = 0.5 + 1e-3 * rng.normal(size=(3000, 3))
+    mag[2000:, 0] += 0.02
+    I = mag * balanced()
+    I[500, 0] = bad
+    eng, reports = _line_engine(I)
+    assert (2000, "surge") in [(r.start_k, r.label) for r in reports if r.rule == CURRENT_MAG]
+    m = Config().m
+    assert _skipped(eng) == {ACTIVE_POWER: 1, REACTIVE_POWER: 1, CURRENT_MAG: 1,
+                             QSS_VALIDITY: m, FREQUENCY: 0}
+
+
+@pytest.mark.parametrize("big", [1e300, 1.5e308])
+def test_an_overflowing_current_runs_silently(big, capfd):
+    """A current whose squares (1e300) or whose window sums (1.5e308)
+    overflow prints nothing and warns of nothing (warnings are errors in
+    this suite); the change rules skip what is derived from it."""
+    I = 0.5 * np.tile(balanced(), (600, 1))
+    I[400] = big
+    eng, _ = _line_engine(I)
+    assert capfd.readouterr() == ("", "")
+    assert _skipped(eng)[CURRENT_MAG] == 3 and _skipped(eng)[QSS_VALIDITY] == Config().m
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
@@ -630,9 +802,10 @@ def _retained_bytes(run) -> int:
 
 def _interruption(n):
     eng = LocalEngine(3, {}, Config())
-    v = balanced(0.05)
-    for k in range(n):
-        eng.step(PhasorFrame(k=k, bus=3, v=v, i_lines={}))
+    v = np.tile(balanced(0.05), (BLOCK_FRAMES, 1))
+    for k in range(0, n, BLOCK_FRAMES):
+        m = min(BLOCK_FRAMES, n - k)
+        eng.run(StreamColumns.assemble(3, np.arange(k, k + m, dtype=np.uint64), v[:m], {}))
     return eng
 
 
